@@ -185,7 +185,6 @@ int main() {
     serve_options.num_workers = 2;
     serve_options.max_queue_depth = 256;
     serve_options.max_batch_size = 8;
-    serve_options.max_batch_wait = std::chrono::microseconds(100);
     auto server = serve::Server::ForEngine(&engine, serve_options);
     // Warm both the answer cache and the batcher before timing.
     obs::WideEvents::SetSamplePeriod(1);

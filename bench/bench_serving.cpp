@@ -386,10 +386,6 @@ int main(int argc, char** argv) {
                 engine_serial_qps);
   }
 
-  // Enough concurrent blocking callers that a 32-batch can actually fill
-  // at saturation — with fewer outstanding requests than the batch size,
-  // the batcher would spend every batch waiting out max_batch_wait and
-  // the A/B would measure the timer, not the coalescing.
   const int ab_threads = std::max(64, 8 * args.workers);
   const double ab_duration_s = args.smoke ? 0.5 : 3.0;
   double batch1_qps, batch32_qps;
@@ -399,7 +395,6 @@ int main(int argc, char** argv) {
     options.slo = &slo;
     options.max_queue_depth = 4096;
     options.max_batch_size = 1;
-    options.max_batch_wait = std::chrono::microseconds(100);
     auto server = serve::Server::ForEngine(&engine, options);
     batch1_qps = RunClosedLoop(*server, pool, ab_duration_s, args.zipf_s,
                                ab_threads, 42);
@@ -410,7 +405,6 @@ int main(int argc, char** argv) {
     options.slo = &slo;
     options.max_queue_depth = 4096;
     options.max_batch_size = 32;
-    options.max_batch_wait = std::chrono::microseconds(100);
     auto server = serve::Server::ForEngine(&engine, options);
     batch32_qps = RunClosedLoop(*server, pool, ab_duration_s, args.zipf_s,
                                 ab_threads, 42);
@@ -441,7 +435,6 @@ int main(int argc, char** argv) {
     options.slo = &slo;
     options.max_queue_depth = 4096;
     options.max_batch_size = 32;
-    options.max_batch_wait = std::chrono::microseconds(200);
     auto server = serve::Server::ForEngine(&engine, options);
     steady = RunOpenLoop(*server, pool, steady_qps, args.duration_s,
                          args.zipf_s, args.threads, args.poisson, 1234);
@@ -466,7 +459,6 @@ int main(int argc, char** argv) {
     options.slo = &slo;
     options.max_queue_depth = 16;
     options.max_batch_size = 8;
-    options.max_batch_wait = std::chrono::microseconds(200);
     options.default_timeout = std::chrono::milliseconds(20);
     auto server = serve::Server::ForEngine(&engine, options);
     overload = RunOpenLoop(*server, pool, overload_qps,

@@ -29,6 +29,11 @@
 #                             # /slo /eventz live, schema-check a scraped
 #                             # wide event, then summarize the drained
 #                             # JSONL with scripts/trace_summarize.py
+#   scripts/check.sh --ladder-smoke
+#                             # bit-exact answers through the serving path:
+#                             # run perfladder/run.py briefly on serve_zipf
+#                             # and live_mixed and require its final JSON
+#                             # line to report correct=true and failed=0
 #   scripts/check.sh --fuzz-smoke
 #                             # deterministic fuzzing layer under ASan+UBSan:
 #                             # replay every committed corpus + regression
@@ -144,6 +149,22 @@ run_obs_smoke() {
   python3 scripts/validate_bench.py build/BENCH_serving.json
 }
 
+run_ladder_smoke() {
+  local workload result
+  for workload in serve_zipf live_mixed; do
+    echo "== ladder smoke ($workload) =="
+    result=$(python3 perfladder/run.py --workload "$workload" --seed 1 \
+        --seconds 2 --trace 0 | tail -1)
+    echo "$result"
+    if ! python3 -c 'import json, sys; r = json.loads(sys.argv[1]); \
+        sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 \
+        else 1)' "$result"; then
+      echo "FAILED: $workload reported wrong or failed answers" >&2
+      exit 1
+    fi
+  done
+}
+
 run_fuzz_smoke() {
   echo "== fuzz smoke (ASan+UBSan tree) =="
   cmake -B build-asan -S . -DASAN=ON >/dev/null
@@ -181,6 +202,10 @@ case "${1:-}" in
     run_obs_smoke
     echo "== OK (obs smoke) =="
     ;;
+  --ladder-smoke)
+    run_ladder_smoke
+    echo "== OK (ladder smoke) =="
+    ;;
   --fuzz-smoke)
     run_fuzz_smoke
     echo "== OK (fuzz smoke) =="
@@ -201,7 +226,7 @@ case "${1:-}" in
     echo "== OK =="
     ;;
   *)
-    echo "usage: scripts/check.sh [fast|--lint|--tsan|--serve-smoke|--mem-smoke|--mutation-smoke|--obs-smoke|--fuzz-smoke]" >&2
+    echo "usage: scripts/check.sh [fast|--lint|--tsan|--serve-smoke|--mem-smoke|--mutation-smoke|--obs-smoke|--ladder-smoke|--fuzz-smoke]" >&2
     exit 2
     ;;
 esac

@@ -4,21 +4,17 @@
 #include <cstdio>
 #include <vector>
 
+#include "util/atomic_file.h"
+
 namespace kbqa::core {
 
 namespace {
 
 constexpr uint64_t kModelMagic = 0x4b42514d4f44454cULL;  // "KBQMODEL"
 
-bool WriteU64(std::FILE* f, uint64_t v) {
-  return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-bool WriteF64(std::FILE* f, double v) {
-  return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-bool WriteString(std::FILE* f, const std::string& s) {
-  return WriteU64(f, s.size()) &&
-         (s.empty() || std::fwrite(s.data(), 1, s.size(), f) == s.size());
+void WriteString(util::FileSink& w, const std::string& s) {
+  w.WriteU64(s.size());
+  w.WriteBytes(s.data(), s.size());
 }
 bool ReadU64(std::FILE* f, uint64_t* v) {
   return std::fread(v, sizeof(*v), 1, f) == 1;
@@ -47,26 +43,26 @@ bool ReadString(std::FILE* f, std::string* s) {
 
 Status SaveModel(const TemplateStore& store, const rdf::PathDictionary& paths,
                  const rdf::KnowledgeBase& kb, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open for write: " + path);
-  bool ok = WriteU64(f, kModelMagic) && WriteU64(f, store.num_templates());
-  for (TemplateId t = 0; ok && t < store.num_templates(); ++t) {
-    ok = WriteString(f, store.TemplateText(t)) &&
-         WriteU64(f, store.Frequency(t));
-    auto dist = store.Distribution(t);
-    ok = ok && WriteU64(f, dist.size());
-    for (const PredicateProb& entry : dist) {
-      if (!ok) break;
-      const rdf::PredPath& pred_path = paths.GetPath(entry.path);
-      ok = WriteU64(f, pred_path.size());
-      for (rdf::PredId p : pred_path) {
-        ok = ok && WriteString(f, kb.PredicateString(p));
+  // Crash-safe: a save that dies mid-write leaves the previous model at
+  // `path` intact.
+  return util::WriteFileAtomically(path, [&](util::FileSink& w) {
+    w.WriteU64(kModelMagic);
+    w.WriteU64(store.num_templates());
+    for (TemplateId t = 0; w.ok() && t < store.num_templates(); ++t) {
+      WriteString(w, store.TemplateText(t));
+      w.WriteU64(store.Frequency(t));
+      auto dist = store.Distribution(t);
+      w.WriteU64(dist.size());
+      for (const PredicateProb& entry : dist) {
+        const rdf::PredPath& pred_path = paths.GetPath(entry.path);
+        w.WriteU64(pred_path.size());
+        for (rdf::PredId p : pred_path) {
+          WriteString(w, kb.PredicateString(p));
+        }
+        w.WriteF64(entry.probability);
       }
-      ok = ok && WriteF64(f, entry.probability);
     }
-  }
-  if (std::fclose(f) != 0) ok = false;
-  return ok ? Status::Ok() : Status::IoError("short write: " + path);
+  });
 }
 
 Result<LoadedModel> LoadModel(const rdf::KnowledgeBase& kb,

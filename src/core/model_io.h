@@ -21,7 +21,8 @@ struct LoadedModel {
 /// file. Predicate paths are stored by *predicate name*, not by id, so a
 /// model can be loaded against any knowledge base that defines the same
 /// predicates — the offline procedure runs once (§7.4) and its artifact is
-/// reusable across processes.
+/// reusable across processes. Crash-safe (util::WriteFileAtomically): a
+/// save that dies mid-write never clobbers the previous model at `path`.
 [[nodiscard]] Status SaveModel(const TemplateStore& store, const rdf::PathDictionary& paths,
                  const rdf::KnowledgeBase& kb, const std::string& path);
 

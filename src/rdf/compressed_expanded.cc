@@ -8,6 +8,7 @@
 #include <span>
 
 #include "obs/wide_event.h"
+#include "util/atomic_file.h"
 #include "util/coding.h"
 
 namespace kbqa::rdf {
@@ -133,21 +134,13 @@ Status CompressedExpandedKb::Save(const std::string& path) const {
     util::PutFixed64(&meta, b.checksum);
   }
 
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open for write: " + path);
-  bool ok = true;
-  auto write = [&](const void* data, size_t n) {
-    if (ok && n > 0 && std::fwrite(data, 1, n, f) != n) ok = false;
-  };
-  write(&kMagicExp3, sizeof(kMagicExp3));
-  const uint64_t meta_len = meta.size();
-  write(&meta_len, sizeof(meta_len));
-  write(meta.data(), meta.size());
-  const uint64_t meta_sum = util::Fnv1a64(meta.data(), meta.size());
-  write(&meta_sum, sizeof(meta_sum));
-  write(payload_.data(), payload_.size());
-  if (std::fclose(f) != 0) ok = false;
-  return ok ? Status::Ok() : Status::IoError("short write: " + path);
+  return util::WriteFileAtomically(path, [&](util::FileSink& w) {
+    w.WriteU64(kMagicExp3);
+    w.WriteU64(meta.size());
+    w.WriteBytes(meta.data(), meta.size());
+    w.WriteU64(util::Fnv1a64(meta.data(), meta.size()));
+    w.WriteBytes(payload_.data(), payload_.size());
+  });
 }
 
 Result<CompressedExpandedKb> CompressedExpandedKb::Open(

@@ -90,7 +90,7 @@ class CompressedExpandedKb {
 
   /// Writes the snapshot: magic "KBQAEXP3", a checksummed metadata section
   /// (counts, path dictionary, subject array, block index), then the raw
-  /// block payloads.
+  /// block payloads. Crash-safe (util::WriteFileAtomically).
   [[nodiscard]] Status Save(const std::string& path) const;
 
   /// Loads a snapshot written by Save. Honors `options.blocks_resident`:

@@ -1,10 +1,6 @@
 #include "rdf/knowledge_base.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -12,6 +8,7 @@
 #include <utility>
 
 #include "obs/obs.h"
+#include "util/atomic_file.h"
 #include "util/coding.h"
 #include "util/thread_pool.h"
 
@@ -38,38 +35,8 @@ static_assert(std::is_trivially_copyable_v<PredicateObject> &&
                   sizeof(PredicateObject) == 8,
               "snapshot format writes PredicateObject arrays byte-for-byte");
 
-/// Save failure injection (SetSaveFailureAfterBytesForTest): the byte
-/// count after which every writer starts failing; negative = disabled.
-std::atomic<int64_t> g_save_failure_after_bytes{-1};
-
-// Minimal buffered binary writer/reader for Save/Load. Little-endian only
-// (all supported platforms); sizes written as uint64.
-class BinaryWriter {
- public:
-  explicit BinaryWriter(std::FILE* f) : f_(f) {}
-  bool ok() const { return ok_; }
-
-  void WriteU64(uint64_t v) { WriteBytes(&v, sizeof(v)); }
-  void WriteU32(uint32_t v) { WriteBytes(&v, sizeof(v)); }
-  void WriteBytes(const void* data, size_t n) {
-    if (!ok_ || n == 0) return;
-    const int64_t fail_after =
-        g_save_failure_after_bytes.load(std::memory_order_relaxed);
-    if (fail_after >= 0 &&
-        written_ + static_cast<int64_t>(n) > fail_after) {
-      ok_ = false;  // injected short write
-      return;
-    }
-    written_ += static_cast<int64_t>(n);
-    if (std::fwrite(data, 1, n, f_) != n) ok_ = false;
-  }
-
- private:
-  std::FILE* f_;
-  int64_t written_ = 0;
-  bool ok_ = true;
-};
-
+// Minimal binary reader for Load. Little-endian only (all supported
+// platforms); sizes read as uint64.
 class BinaryReader {
  public:
   explicit BinaryReader(std::FILE* f) : f_(f) {}
@@ -349,7 +316,7 @@ std::vector<TermId> KnowledgeBase::AllEntities() const {
 namespace {
 
 /// Writes a dictionary as one offset array + one contiguous string blob.
-void WriteDictionary(BinaryWriter& w, const Dictionary& dict) {
+void WriteDictionary(util::FileSink& w, const Dictionary& dict) {
   const size_t n = dict.size();
   std::vector<uint64_t> offsets(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
@@ -444,7 +411,7 @@ bool ValidCsr(const std::vector<uint64_t>& offsets,
 // Δp is 0 — varint Δo (objects strictly increase within a predicate),
 // otherwise the absolute varint o.
 
-void WriteSection(BinaryWriter& w, const std::string& enc) {
+void WriteSection(util::FileSink& w, const std::string& enc) {
   w.WriteU64(enc.size());
   w.WriteBytes(enc.data(), enc.size());
   w.WriteU64(util::Fnv1a64(enc.data(), enc.size()));
@@ -560,94 +527,61 @@ bool DecodeCsr(const uint8_t* p, const uint8_t* limit, size_t num_nodes,
 
 }  // namespace
 
-void KnowledgeBase::SetSaveFailureAfterBytesForTest(int64_t bytes) {
-  g_save_failure_after_bytes.store(bytes, std::memory_order_relaxed);
-}
-
 Status KnowledgeBase::Save(const std::string& path, int format_version) const {
   if (!frozen_) return Status::FailedPrecondition("Save requires Freeze()");
   if (format_version != 2 && format_version != 3) {
     return Status::InvalidArgument("unsupported snapshot format version");
   }
-  // Crash safety (DESIGN.md §10): the snapshot is written to a temp file
-  // in the same directory, flushed and fsynced, then atomically renamed
-  // over `path`. A writer that dies mid-write — a background re-freeze
-  // crashing, a full disk, the injected test failure — leaves any
-  // existing good snapshot at `path` untouched.
-  const std::string tmp_path =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open for write: " + tmp_path);
-  }
-  BinaryWriter w(f);
+  // Crash safety (DESIGN.md §10): a writer that dies mid-write — a
+  // background re-freeze crashing, a full disk, the injected test failure —
+  // leaves any existing good snapshot at `path` untouched.
+  return util::WriteFileAtomically(path, [&](util::FileSink& w) {
+    if (format_version == 3) {
+      w.WriteU64(kMagicV3);
 
-  if (format_version == 3) {
-    w.WriteU64(kMagicV3);
+      std::string nodes_enc;
+      AppendDictionary(&nodes_enc, nodes_);
+      std::vector<uint32_t> kind_bits(nodes_.size());
+      for (size_t i = 0; i < nodes_.size(); ++i) {
+        kind_bits[i] = is_literal_[i];
+      }
+      util::AppendBitPacked(&nodes_enc, kind_bits.data(), kind_bits.size(),
+                            /*bits=*/1);
+      WriteSection(w, nodes_enc);
 
-    std::string nodes_enc;
-    AppendDictionary(&nodes_enc, nodes_);
-    std::vector<uint32_t> kind_bits(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) kind_bits[i] = is_literal_[i];
-    util::AppendBitPacked(&nodes_enc, kind_bits.data(), kind_bits.size(),
-                          /*bits=*/1);
-    WriteSection(w, nodes_enc);
+      std::string preds_enc;
+      AppendDictionary(&preds_enc, predicates_);
+      util::PutVarint64(&preds_enc, name_predicate_);
+      WriteSection(w, preds_enc);
 
-    std::string preds_enc;
-    AppendDictionary(&preds_enc, predicates_);
-    util::PutVarint64(&preds_enc, name_predicate_);
-    WriteSection(w, preds_enc);
+      WriteSection(w, EncodeCsr(out_offsets_, out_edges_));
+      WriteSection(w, EncodeCsr(in_offsets_, in_edges_));
+    } else {
+      w.WriteU64(kMagicV2);
 
-    WriteSection(w, EncodeCsr(out_offsets_, out_edges_));
-    WriteSection(w, EncodeCsr(in_offsets_, in_edges_));
-  } else {
-    w.WriteU64(kMagicV2);
+      WriteDictionary(w, nodes_);
+      std::vector<uint8_t> literal_bytes(nodes_.size());
+      for (size_t i = 0; i < nodes_.size(); ++i) {
+        literal_bytes[i] = is_literal_[i];
+      }
+      w.WriteBytes(literal_bytes.data(), literal_bytes.size());
 
-    WriteDictionary(w, nodes_);
-    std::vector<uint8_t> literal_bytes(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      literal_bytes[i] = is_literal_[i];
+      WriteDictionary(w, predicates_);
+      w.WriteU32(name_predicate_);
+
+      // Both CSR directions, each as two contiguous block transfers.
+      w.WriteU64(out_edges_.size());
+      w.WriteBytes(out_offsets_.data(),
+                   out_offsets_.size() * sizeof(uint64_t));
+      w.WriteBytes(out_edges_.data(),
+                   out_edges_.size() * sizeof(PredicateObject));
+      w.WriteU64(in_edges_.size());
+      w.WriteBytes(in_offsets_.data(),
+                   in_offsets_.size() * sizeof(uint64_t));
+      w.WriteBytes(in_edges_.data(),
+                   in_edges_.size() * sizeof(PredicateObject));
     }
-    w.WriteBytes(literal_bytes.data(), literal_bytes.size());
-
-    WriteDictionary(w, predicates_);
-    w.WriteU32(name_predicate_);
-
-    // Both CSR directions, each as two contiguous block transfers.
-    w.WriteU64(out_edges_.size());
-    w.WriteBytes(out_offsets_.data(), out_offsets_.size() * sizeof(uint64_t));
-    w.WriteBytes(out_edges_.data(),
-                 out_edges_.size() * sizeof(PredicateObject));
-    w.WriteU64(in_edges_.size());
-    w.WriteBytes(in_offsets_.data(), in_offsets_.size() * sizeof(uint64_t));
-    w.WriteBytes(in_edges_.data(), in_edges_.size() * sizeof(PredicateObject));
-  }
-
-  // Durability before visibility: data must be on disk before the rename
-  // makes it the snapshot.
-  bool ok = w.ok();
-  if (ok && std::fflush(f) != 0) ok = false;
-  if (ok && ::fsync(::fileno(f)) != 0) ok = false;
-  if (std::fclose(f) != 0) ok = false;
-  if (!ok) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("short write: " + tmp_path);
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("cannot publish snapshot: " + path);
-  }
-  // Persist the rename itself: fsync the containing directory (best
-  // effort — some filesystems refuse directory fds).
-  const size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY);
-  if (dir_fd >= 0) {
-    (void)::fsync(dir_fd);
-    (void)::close(dir_fd);
-  }
-  return Status::Ok();
+  });
 }
 
 Result<KnowledgeBase> KnowledgeBase::Load(const std::string& path) {

@@ -161,15 +161,10 @@ class KnowledgeBase {
   /// `format_version == 2` keeps the legacy raw-block layout (fixed-width
   /// offset arrays + bulk edge fwrites) for compatibility tests and size
   /// comparisons.
-  /// Crash-safe: the bytes are written to a temp file in the same
-  /// directory, fsynced, and atomically renamed over `path` — a Save that
-  /// dies mid-write can never clobber an existing good snapshot.
+  /// Crash-safe (util::WriteFileAtomically): a Save that dies mid-write
+  /// can never clobber an existing good snapshot.
   [[nodiscard]] Status Save(const std::string& path,
                             int format_version = 3) const;
-  /// Test-only failure injection: every subsequent Save fails (as a short
-  /// write) once it has emitted more than `bytes` bytes, simulating a
-  /// crash / full disk mid-snapshot. Negative disables (the default).
-  static void SetSaveFailureAfterBytesForTest(int64_t bytes);
   /// Reads a snapshot previously written by Save — either format version;
   /// both decode into the identical in-memory CSR form, so a v2 file loads
   /// bit-identically through this reader. Only the dictionary hash index

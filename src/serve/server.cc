@@ -11,6 +11,9 @@ namespace kbqa::serve {
 
 namespace {
 
+constexpr auto kNoTimeout = std::chrono::steady_clock::time_point::max();
+constexpr auto kNotWaiting = std::chrono::steady_clock::time_point::min();
+
 uint64_t NanosBetween(std::chrono::steady_clock::time_point from,
                       std::chrono::steady_clock::time_point to) {
   if (to <= from) return 0;
@@ -96,7 +99,7 @@ Server::~Server() {
     MutexLock lock(mu_);
     stopping_ = true;
   }
-  queue_cv_.NotifyAll();
+  batcher_cv_.NotifyAll();
   // The batcher sheds whatever is still queued, then exits; ~pool_ waits
   // for every dispatched batch (and its completion callbacks) to retire.
   batcher_.join();
@@ -125,6 +128,7 @@ Status Server::Submit(std::string question, const core::AnswerOptions& options,
     request.ctx.trace_id = obs::WideEvents::NextTraceId();
     request.ctx.admit_ns = ToNs(request.enqueue_time);
   }
+  bool wake_batcher = false;
   {
     MutexLock lock(mu_);
     if (stopping_) {
@@ -141,11 +145,18 @@ Status Server::Submit(std::string question, const core::AnswerOptions& options,
       RecordRejected(request);
       return Status::Unavailable("serving queue full");
     }
+    // Wake the batcher only when this push can change its decision: the
+    // queue was empty, the batch just filled, or this request's deadline
+    // comes before the batcher's current wait would end.
+    wake_batcher = queue_.empty() ||
+                   queue_.size() + 1 == options_.max_batch_size ||
+                   (request.options.deadline &&
+                    *request.options.deadline < batcher_wake_at_);
     queue_bytes_ += request.charge_bytes;
     queue_.push_back(std::move(request));
     KBQA_GAUGE_SET("online.serve.queue_depth", queue_.size());
   }
-  queue_cv_.NotifyOne();
+  if (wake_batcher) batcher_cv_.NotifyOne();
   return Status::Ok();
 }
 
@@ -228,21 +239,39 @@ void Server::CompleteShed(Request* request, Status status,
   request->done(std::move(response));
 }
 
+bool Server::CloseBatchNow() {
+  batcher_wake_at_ = kNoTimeout;
+  if (queue_.empty()) return false;
+  if (inflight_batches_ < options_.max_inflight_batches ||
+      queue_.size() >= options_.max_batch_size) {
+    return true;
+  }
+  // Every slot is busy and the batch has room: keep it open, but only
+  // until the earliest deadline among its requests, so Dispatch can shed
+  // them on time instead of when a slot frees.
+  for (const Request& request : queue_) {
+    if (request.options.deadline) {
+      batcher_wake_at_ = std::min(batcher_wake_at_, *request.options.deadline);
+    }
+  }
+  return batcher_wake_at_ != kNoTimeout &&
+         batcher_wake_at_ <= std::chrono::steady_clock::now();
+}
+
 void Server::BatcherLoop() {
   for (;;) {
     std::vector<Request> batch;
     {
       MutexLock lock(mu_);
-      while (!stopping_ && queue_.empty()) queue_cv_.Wait(mu_);
-      if (stopping_) break;
-      // Coalesce: close the batch at max_batch_size requests, or when the
-      // oldest has waited max_batch_wait — the classic size-or-time pair.
-      const auto close_at =
-          queue_.front().enqueue_time + options_.max_batch_wait;
-      while (!stopping_ && queue_.size() < options_.max_batch_size &&
-             std::chrono::steady_clock::now() < close_at) {
-        queue_cv_.WaitUntil(mu_, close_at);
+      while (!stopping_ && !CloseBatchNow()) {
+        if (batcher_wake_at_ == kNoTimeout) {
+          batcher_cv_.Wait(mu_);
+        } else {
+          batcher_cv_.WaitUntil(mu_, batcher_wake_at_);
+        }
       }
+      batcher_wake_at_ = kNotWaiting;
+      if (stopping_) break;
       const size_t take = std::min(queue_.size(), options_.max_batch_size);
       batch.reserve(take);
       for (size_t i = 0; i < take; ++i) {
@@ -317,9 +346,9 @@ void Server::Dispatch(std::vector<Request> batch) {
         if (earliest.has_value()) {
           // Timeout: a deadline lapsed while stalled — rerun the shed
           // pass.
-          if (!inflight_cv_.WaitUntil(mu_, *earliest)) break;
+          if (!batcher_cv_.WaitUntil(mu_, *earliest)) break;
         } else {
-          inflight_cv_.Wait(mu_);
+          batcher_cv_.Wait(mu_);
         }
       }
       if (inflight_batches_ < options_.max_inflight_batches) {
@@ -418,7 +447,7 @@ void Server::Dispatch(std::vector<Request> batch) {
           MutexLock lock(mu_);
           --inflight_batches_;
         }
-        inflight_cv_.NotifyOne();
+        batcher_cv_.NotifyOne();
       });
 }
 

@@ -36,12 +36,10 @@ struct ServingOptions {
   /// Admission control on queued request payload bytes (question text +
   /// per-request overhead). 0 = no byte limit.
   uint64_t max_queue_bytes = 0;
-  /// The batcher closes a batch at this many requests...
+  /// Most requests one batch carries. The batcher is work-conserving: it
+  /// dispatches whatever is queued as soon as an in-flight slot is free,
+  /// so batches only grow past one request while every slot is busy.
   size_t max_batch_size = 32;
-  /// ...or once the oldest queued request has waited this long, whichever
-  /// comes first. 0 means "never wait": every wakeup takes whatever is
-  /// queued right now.
-  std::chrono::microseconds max_batch_wait{200};
   /// Applied at admission to requests that carry no deadline of their own:
   /// deadline = arrival + default_timeout. Queue wait therefore counts
   /// against the budget — a request that expires while queued is shed
@@ -82,11 +80,16 @@ struct ServingStats {
 };
 
 /// In-process async serving front door over the KBQA online engine: a
-/// bounded MPMC request queue with admission control, a batcher that
-/// coalesces queued requests under (max_batch_size, max_batch_wait), and
-/// worker threads (util/thread_pool) that execute batches concurrently —
-/// the batcher dispatches batch k+1 while k is still running, via the
-/// pool's async Submit + completion notification.
+/// bounded MPMC request queue with admission control, a work-conserving
+/// batcher, and worker threads (util/thread_pool) that execute batches
+/// concurrently — the batcher dispatches batch k+1 while k is still
+/// running, via the pool's async Submit + completion notification.
+///
+/// The batcher closes the batch it is building at the first of: an
+/// in-flight slot is free, the batch holds max_batch_size requests, or the
+/// earliest deadline among its requests has passed (so the shed happens
+/// on time). It never holds requests while a slot sits idle; coalescing
+/// happens only under load, from what queued while every slot was busy.
 ///
 /// Request lifecycle:
 ///   Submit -> [bounded queue] -> batcher -> {shed if expired}
@@ -162,6 +165,10 @@ class Server {
   };
 
   void BatcherLoop();
+  /// The batcher's close rule, evaluated under mu_: true once the batch it
+  /// would take should go now. Otherwise sets batcher_wake_at_ to when
+  /// the answer changes without a signal (time_point::max(): never).
+  bool CloseBatchNow() REQUIRES(mu_);
   /// Completes a request without entering the pipeline (expired in queue
   /// or shutdown shed), emitting its terminal wide event and SLO record.
   void CompleteShed(Request* request, Status status,
@@ -175,12 +182,18 @@ class Server {
   const ServingOptions options_;
 
   mutable Mutex mu_;
-  CondVar queue_cv_;     // batcher waits for arrivals / stop
-  CondVar inflight_cv_;  // batcher waits for an in-flight batch slot
+  // The batcher's one wait: arrivals that can close a batch, a freed
+  // in-flight slot, and stop all signal it.
+  CondVar batcher_cv_;
   std::deque<Request> queue_ GUARDED_BY(mu_);
   uint64_t queue_bytes_ GUARDED_BY(mu_) = 0;
   size_t inflight_batches_ GUARDED_BY(mu_) = 0;
   bool stopping_ GUARDED_BY(mu_) = false;
+  // When the batcher's close wait times out: max() while it waits with no
+  // timeout, min() while it is not in that wait. A Submit whose deadline
+  // comes earlier wakes it to re-aim the wait.
+  std::chrono::steady_clock::time_point batcher_wake_at_ GUARDED_BY(mu_) =
+      std::chrono::steady_clock::time_point::min();
 
   // Per-instance accounting (sharded relaxed atomics; the global
   // online.serve.* registry metrics mirror these when obs is enabled).
@@ -192,7 +205,7 @@ class Server {
   obs::ShardedCounter batches_;
 
   // Declared after every member its jobs and completion callbacks touch
-  // (handler_, mu_, inflight_cv_, the counters): ~pool_ drains in-flight
+  // (handler_, mu_, batcher_cv_, the counters): ~pool_ drains in-flight
   // batches, so it must run before those members are destroyed.
   ThreadPool pool_;
   std::thread batcher_;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "core/kbqa_system.h"
@@ -8,6 +10,7 @@
 #include "core/variants.h"
 #include "eval/experiment.h"
 #include "rdf/query.h"
+#include "util/atomic_file.h"
 #include "util/strings.h"
 
 namespace kbqa {
@@ -222,6 +225,34 @@ TEST_F(ExtensionsTest, ModelSaveLoadRoundTrip) {
     EXPECT_EQ(restored.Answer(q).value, experiment().kbqa().Answer(q).value)
         << q;
   }
+  std::remove(path.c_str());
+}
+
+TEST_F(ExtensionsTest, InjectedShortWriteNeverClobbersGoodModel) {
+  std::string path = ::testing::TempDir() + "/crash_safe_model.bin";
+  ASSERT_TRUE(experiment().kbqa().SaveModel(path).ok());
+
+  // A re-save over the same path dies mid-write (simulated crash / full
+  // disk after 64 bytes). It must fail cleanly...
+  util::SetWriteFailureAfterBytesForTest(64);
+  Status crashed = experiment().kbqa().SaveModel(path);
+  util::SetWriteFailureAfterBytesForTest(-1);
+  EXPECT_FALSE(crashed.ok());
+
+  // ...leave the original model loadable...
+  core::KbqaSystem restored(&experiment().world());
+  ASSERT_TRUE(restored.LoadModel(path).ok());
+  EXPECT_EQ(restored.template_store().num_templates(),
+            experiment().kbqa().template_store().num_templates());
+
+  // ...and clean up its temp file.
+  const std::string tmp =
+      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  EXPECT_FALSE(std::ifstream(tmp).good());
+
+  // With injection off, the same save succeeds again (atomic replace).
+  ASSERT_TRUE(experiment().kbqa().SaveModel(path).ok());
+  EXPECT_TRUE(core::LoadModel(experiment().world().kb, path).ok());
   std::remove(path.c_str());
 }
 

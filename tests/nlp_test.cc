@@ -268,6 +268,10 @@ struct ClassifierCase {
   QuestionClass expected;
 };
 
+// Without this, gtest prints a case as its raw bytes -- the question's
+// address plus padding -- and the test names change from run to run.
+void PrintTo(const ClassifierCase& c, std::ostream* os) { *os << c.question; }
+
 class ClassifierTest : public ::testing::TestWithParam<ClassifierCase> {};
 
 TEST_P(ClassifierTest, ClassifiesCase) {

@@ -352,7 +352,6 @@ TEST(RaceStressTest, ServeHammerSubmittersAgainstBatcherAndTeardown) {
       options.num_workers = 3;
       options.max_queue_depth = 64;
       options.max_batch_size = 4;
-      options.max_batch_wait = std::chrono::microseconds(50);
       serve::Server server(
           [](const std::string& question, const core::AnswerOptions&) {
             core::AnswerResult result;
@@ -414,7 +413,6 @@ TEST_F(RaceStressSystemTest, ServeEngineAnswersUnderConcurrentLoadCycles) {
     serve::ServingOptions serving;
     serving.num_workers = 3;
     serving.max_batch_size = 4;
-    serving.max_batch_wait = std::chrono::microseconds(100);
     const auto server = serve::Server::ForEngine(engine.get(), serving);
     std::vector<std::thread> callers;
     for (int t = 0; t < 3; ++t) {
@@ -509,7 +507,6 @@ TEST_F(RaceStressSystemTest, ServeLiveEngineWideEventsExactlyOnceAcrossSwaps) {
     serve::ServingOptions serving;
     serving.num_workers = 3;
     serving.max_batch_size = 4;
-    serving.max_batch_wait = std::chrono::microseconds(50);
     const auto server = serve::Server::ForLiveEngine(engine.get(), serving);
     std::atomic<bool> stop{false};
     std::thread mutator([&] {

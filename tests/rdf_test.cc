@@ -11,6 +11,7 @@
 #include "rdf/dictionary.h"
 #include "rdf/expanded_predicate.h"
 #include "rdf/knowledge_base.h"
+#include "util/atomic_file.h"
 
 namespace kbqa::rdf {
 namespace {
@@ -162,9 +163,9 @@ TEST_F(ToyKbTest, InjectedShortWriteNeverClobbersGoodSnapshot) {
 
   // A re-Save over the same path dies mid-write (simulated crash / full
   // disk after 64 bytes). It must fail cleanly...
-  KnowledgeBase::SetSaveFailureAfterBytesForTest(64);
+  util::SetWriteFailureAfterBytesForTest(64);
   Status crashed = kb_.Save(path);
-  KnowledgeBase::SetSaveFailureAfterBytesForTest(-1);
+  util::SetWriteFailureAfterBytesForTest(-1);
   EXPECT_FALSE(crashed.ok());
 
   // ...leave the original snapshot loadable...
