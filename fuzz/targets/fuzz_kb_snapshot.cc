@@ -1,6 +1,6 @@
-// Fuzz target: KnowledgeBase snapshot loading, v2 and v3 framing
-// (registry: src/rdf/knowledge_base.h). Seeds are synthesized by saving a
-// small KB in both format versions with the current writer.
+// Fuzz target: KnowledgeBase snapshot loading, v3 framing (registry:
+// src/rdf/knowledge_base.h). The seed is synthesized by saving a small KB
+// with the current writer.
 
 #include <algorithm>
 #include <string>
@@ -49,17 +49,15 @@ rdf::KnowledgeBase MakeSeedKb() {
 
 std::vector<std::string> SeedInputs() {
   std::vector<std::string> seeds;
-  const rdf::KnowledgeBase kb = MakeSeedKb();
-  for (const int version : {3, 2}) {
-    SeedTempPath tmp("kb");
-    const Status st = kb.Save(tmp.path(), version);
-    if (st.ok()) seeds.push_back(FileBytes(tmp.path()));
+  SeedTempPath tmp("kb");
+  if (MakeSeedKb().Save(tmp.path()).ok()) {
+    seeds.push_back(FileBytes(tmp.path()));
   }
   return seeds;
 }
 
 std::vector<std::string> Dictionary() {
-  // The two magics (first 8 bytes of each seed) as splice tokens.
+  // The magic (first 8 bytes of the seed) as a splice token.
   std::vector<std::string> dict;
   for (const std::string& seed : SeedInputs()) {
     if (seed.size() >= 8) dict.push_back(seed.substr(0, 8));

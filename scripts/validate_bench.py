@@ -184,7 +184,7 @@ def validate_observability(doc):
             "context_propagation baseline is zero")
 
     coverage = doc["coverage"]
-    for key in ("span_answer_count", "value_cache_hits", "em_iterations",
+    for key in ("stage_ner_count", "value_cache_hits", "em_iterations",
                 "thread_pool_tasks"):
         require(key in coverage, f"coverage.{key} missing")
         require(coverage[key] > 0, f"coverage.{key} is zero")

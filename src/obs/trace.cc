@@ -101,14 +101,6 @@ void Tracing::Stop() {
   internal::g_trace_active.store(false, std::memory_order_release);
 }
 
-void Tracing::SetSampleShift(unsigned shift) {
-  if (shift > 20) shift = 20;
-  internal::g_sample_period.store(1u << shift, std::memory_order_relaxed);
-  // Take effect immediately on this thread instead of draining whatever
-  // countdown the previous period left behind.
-  internal::tl_sample_countdown = 1;
-}
-
 size_t Tracing::CollectedEvents() {
   TraceState& s = State();
   MutexLock lock(s.mu);

@@ -2,7 +2,6 @@
 #define KBQA_OBS_TRACE_H_
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <iosfwd>
 
@@ -17,48 +16,33 @@ namespace internal {
 /// True while Tracing::Start()/Stop() bounds a collection window.
 inline std::atomic<bool> g_trace_active{false};
 
-/// Detail windows open 1 in g_sample_period times (power of two).
-inline std::atomic<uint32_t> g_sample_period{1u << 6};
-
-/// Entries remaining until this thread's next detail window fires. Starts
-/// at 1 so a thread's first window always records (never reaches 0).
-inline thread_local uint32_t tl_sample_countdown = 1;
-
-/// True inside a firing detail window: the single thread-local flag every
-/// sampled span site checks — the hot-path skip is one TLS load and
-/// branch. While a trace is active every window fires.
-inline thread_local bool tl_detail = false;
-
-/// Slow path shared by both guards: records the elapsed time into the
-/// site's histogram and appends a trace event while a trace is active.
+/// SpanGuard's slow path: records the elapsed time into the site's
+/// histogram and appends a trace event while a trace is active.
 void FinishSpan(const SpanSite* site, uint64_t begin_ticks);
 
 }  // namespace internal
 
-/// One static instrumentation site created by KBQA_TRACE_SPAN /
-/// KBQA_TRACE_SPAN_SAMPLED. Interns the "span.<name>" latency histogram
-/// once; the per-entry cost is just the guard below.
+/// One static instrumentation site created by KBQA_TRACE_SPAN. Interns the
+/// "span.<name>" latency histogram once; the per-entry cost is just the
+/// guard below.
 class SpanSite {
  public:
-  SpanSite(const char* name, bool sampled)
+  explicit SpanSite(const char* name)
       : name_(name),
         histogram_(MetricsRegistry::Global().GetHistogram(
-            std::string("span.") + name)),
-        sampled_(sampled) {}
+            std::string("span.") + name)) {}
 
   const char* name() const { return name_; }
   Histogram* histogram() const { return histogram_; }
-  bool sampled() const { return sampled_; }
 
  private:
   const char* name_;
   Histogram* histogram_;
-  bool sampled_;
 };
 
-/// RAII span for always-on sites: on destruction records the elapsed
-/// nanoseconds into the site's histogram and, when a trace is being
-/// collected, appends a trace event to the calling thread's ring buffer.
+/// RAII span: on destruction records the elapsed nanoseconds into the
+/// site's histogram and, when a trace is being collected, appends a trace
+/// event to the calling thread's ring buffer.
 class SpanGuard {
  public:
   explicit SpanGuard(const SpanSite* site) : site_(site) {
@@ -79,65 +63,9 @@ class SpanGuard {
   uint64_t begin_ = 0;
 };
 
-/// RAII span for sampled (hot-path) sites: records only inside a firing
-/// DetailWindow (every window fires while a trace is active). The skip
-/// path — the common case — is one thread-local load and a branch, cheap
-/// enough for per-predicate call sites.
-class SampledSpanGuard {
- public:
-  explicit SampledSpanGuard(const SpanSite* site) : site_(site) {
-    if (!internal::tl_detail) {
-      site_ = nullptr;
-      return;
-    }
-    begin_ = NowTicks();
-  }
-  ~SampledSpanGuard() {
-    if (site_ != nullptr) internal::FinishSpan(site_, begin_);
-  }
-  SampledSpanGuard(const SampledSpanGuard&) = delete;
-  SampledSpanGuard& operator=(const SampledSpanGuard&) = delete;
-
- private:
-  const SpanSite* site_;
-  uint64_t begin_ = 0;
-};
-
-/// Scoped sampling decision for a request-shaped unit of work (one Answer
-/// call): 1 in g_sample_period windows fire, and while one is open every
-/// KBQA_TRACE_SPAN_SAMPLED site inside records. Sampling whole requests —
-/// instead of individual span entries — keeps per-entry skip costs to one
-/// TLS load and yields coherent per-request stage breakdowns when a
-/// window does fire. While a trace is active every window fires.
-class DetailWindow {
- public:
-  DetailWindow() {
-    if (!RuntimeEnabled()) return;
-    if (!internal::g_trace_active.load(std::memory_order_relaxed)) {
-      uint32_t& countdown = internal::tl_sample_countdown;
-      if (countdown > 1) {
-        --countdown;
-        return;
-      }
-      countdown = internal::g_sample_period.load(std::memory_order_relaxed);
-    }
-    set_ = !internal::tl_detail;  // Nested windows leave the flag alone.
-    internal::tl_detail = true;
-  }
-  ~DetailWindow() {
-    if (set_) internal::tl_detail = false;
-  }
-  DetailWindow(const DetailWindow&) = delete;
-  DetailWindow& operator=(const DetailWindow&) = delete;
-
- private:
-  bool set_ = false;
-};
-
 /// Process-wide trace collection over per-thread ring buffers. Spans feed
 /// their histograms whether or not a trace is active; Start()/Stop()
-/// bound the window in which they additionally emit trace events (and in
-/// which sampled sites record unconditionally).
+/// bound the window in which they additionally emit trace events.
 class Tracing {
  public:
   /// Clears all ring buffers and starts collecting.
@@ -145,16 +73,6 @@ class Tracing {
   static void Stop();
   static bool active() {
     return internal::g_trace_active.load(std::memory_order_relaxed);
-  }
-
-  /// Detail windows fire 1 in 2^shift while no trace is active (default
-  /// 6 → 1/64; shift 0 records everything). Also resets the calling
-  /// thread's sampling countdown so the new period takes effect
-  /// immediately on this thread.
-  static void SetSampleShift(unsigned shift);
-  static unsigned sample_shift() {
-    return static_cast<unsigned>(std::countr_zero(
-        internal::g_sample_period.load(std::memory_order_relaxed)));
   }
 
   /// Writes the collected events as Chrome trace-event JSON (load in

@@ -1,7 +1,9 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -51,6 +53,26 @@ obs::WideEvent BaseEvent(const obs::RequestContext& ctx,
   event.has_deadline = has_deadline;
   event.question_bytes = static_cast<uint32_t>(question_bytes);
   return event;
+}
+
+/// Feeds a served request's stage clock into the online.stage.<stage>_ns
+/// histograms. They read the same RequestContext records the request's
+/// wide event carries, so metrics and events agree by construction. A
+/// stage the request never entered records nothing; an answer-cache hit
+/// enters none.
+void RecordStageHistograms(const obs::RequestContext& ctx) {
+  static const std::array<obs::Histogram*, obs::kWideStageCount> kStages =
+      [] {
+        std::array<obs::Histogram*, obs::kWideStageCount> h{};
+        for (size_t s = 0; s < obs::kWideStageCount; ++s) {
+          h[s] = obs::MetricsRegistry::Global().GetHistogram(
+              std::string("online.stage.") + obs::WideStageName(s) + "_ns");
+        }
+        return h;
+      }();
+  for (size_t s = 0; s < obs::kWideStageCount; ++s) {
+    if (ctx.stages[s].count > 0) kStages[s]->Record(ctx.stages[s].ns);
+  }
 }
 
 ServingOptions Sanitize(ServingOptions options) {
@@ -438,6 +460,7 @@ void Server::Dispatch(std::vector<Request> batch) {
                 request.options.deadline, ToNs(state->dispatch_time));
             event.StampFrom(request.ctx);
             obs::WideEvents::Record(event);
+            RecordStageHistograms(request.ctx);
           }
           request.done(std::move(response));
         }

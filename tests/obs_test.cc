@@ -292,28 +292,24 @@ TEST(TracingTest, ChromeTraceGoldenStructure) {
   obs::Tracing::Start();
   {
     KBQA_TRACE_SPAN("golden.outer");
-    KBQA_TRACE_DETAIL_WINDOW();  // fires unconditionally while tracing
     { KBQA_TRACE_SPAN("golden.inner"); }
-    { KBQA_TRACE_SPAN_SAMPLED("golden.sampled"); }
   }
   obs::Tracing::Stop();
-  EXPECT_EQ(obs::Tracing::CollectedEvents(), 3u);
+  EXPECT_EQ(obs::Tracing::CollectedEvents(), 2u);
 
   std::ostringstream os;
   obs::Tracing::ExportChromeTrace(os);
   const std::string json = os.str();
 
   EXPECT_EQ(EventNames(json),
-            (std::vector<std::string>{"golden.outer", "golden.inner",
-                                      "golden.sampled"}));
+            (std::vector<std::string>{"golden.outer", "golden.inner"}));
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\": \"kbqa\""), std::string::npos);
   EXPECT_NE(json.find("\"droppedEvents\": 0"), std::string::npos);
 
   // The spans also fed their histograms in the global registry.
   obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-  for (const char* name :
-       {"span.golden.outer", "span.golden.inner", "span.golden.sampled"}) {
+  for (const char* name : {"span.golden.outer", "span.golden.inner"}) {
     const auto* h = snap.histogram(name);
     ASSERT_NE(h, nullptr) << name;
     EXPECT_GE(h->count, 1u) << name;
@@ -355,35 +351,6 @@ TEST(TracingTest, ExportWhileRecordingIsWellFormed) {
   std::ostringstream os;
   obs::Tracing::ExportChromeTrace(os);
   EXPECT_EQ(EventNames(os.str()).size(), kSpans);
-}
-
-TEST(TracingTest, SampledSpansRecordOnlyInFiringDetailWindows) {
-  ASSERT_FALSE(obs::Tracing::active());
-  obs::MetricsRegistry::set_enabled(true);
-  obs::MetricsRegistry::Global().GetHistogram("span.sampling.probe")->Reset();
-
-  // Outside any detail window a sampled site never records.
-  for (int i = 0; i < 100; ++i) {
-    KBQA_TRACE_SPAN_SAMPLED("sampling.probe");
-  }
-  EXPECT_EQ(obs::MetricsRegistry::Global()
-                .GetHistogram("span.sampling.probe")
-                ->Count(),
-            0u);
-
-  const unsigned old_shift = obs::Tracing::sample_shift();
-  // 1 in 4 windows fire; SetSampleShift resets this thread's countdown,
-  // so the count over 400 request-shaped iterations is exact.
-  obs::Tracing::SetSampleShift(2);
-  for (int i = 0; i < 400; ++i) {
-    obs::DetailWindow window;
-    KBQA_TRACE_SPAN_SAMPLED("sampling.probe");
-  }
-  obs::Tracing::SetSampleShift(old_shift);
-  EXPECT_EQ(obs::MetricsRegistry::Global()
-                .GetHistogram("span.sampling.probe")
-                ->Count(),
-            100u);
 }
 
 TEST(TracingTest, WriteSpanSummaryListsTopSpans) {

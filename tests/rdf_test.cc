@@ -12,6 +12,7 @@
 #include "rdf/expanded_predicate.h"
 #include "rdf/knowledge_base.h"
 #include "util/atomic_file.h"
+#include "util/coding.h"
 
 namespace kbqa::rdf {
 namespace {
@@ -279,148 +280,124 @@ TEST_F(ToyKbTest, LoadRejectsTruncatedSnapshot) {
   std::remove(cut_path.c_str());
 }
 
+// Splits a v3 snapshot into its four section payloads. Layout: u64 magic,
+// then per section [u64 byte_len][payload][u64 FNV-1a checksum].
+std::vector<std::string> SnapshotSections(const std::string& bytes) {
+  std::vector<std::string> sections;
+  size_t pos = 8;
+  while (pos + 8 <= bytes.size()) {
+    uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + pos, sizeof(len));
+    sections.push_back(bytes.substr(pos + 8, len));
+    pos += 8 + len + 8;
+  }
+  return sections;
+}
+
+// Reassembles a v3 snapshot from section payloads, recomputing every
+// length and checksum, so only the decoder's own checks can reject it.
+std::string AssembleSnapshot(const std::string& magic,
+                             const std::vector<std::string>& sections) {
+  std::string bytes = magic;
+  for (const std::string& section : sections) {
+    const uint64_t len = section.size();
+    const uint64_t checksum = util::Fnv1a64(section.data(), section.size());
+    bytes.append(reinterpret_cast<const char*>(&len), sizeof(len));
+    bytes += section;
+    bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  }
+  return bytes;
+}
+
 TEST_F(ToyKbTest, LoadRejectsCorruptCsrOffsets) {
   std::string path = ::testing::TempDir() + "/corrupt_offsets.bin";
-  // This test hand-computes byte positions of the v2 layout, so pin the
-  // legacy format explicitly now that Save defaults to v3.
-  ASSERT_TRUE(kb_.Save(path, /*format_version=*/2).ok());
+  ASSERT_TRUE(kb_.Save(path).ok());
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   in.close();
+  const std::vector<std::string> sections = SnapshotSections(bytes);
+  ASSERT_EQ(sections.size(), 4u);  // nodes, predicates, out CSR, in CSR
+  ASSERT_EQ(AssembleSnapshot(bytes.substr(0, 8), sections), bytes);
 
-  // Locate the out-CSR block from the (known) v2 layout: magic, node
-  // dictionary (count + offsets + blob), is_literal bytes, predicate
-  // dictionary, name-predicate id, then edge_count + offsets + edges.
-  size_t node_blob = 0, pred_blob = 0;
-  for (TermId id = 0; id < kb_.num_nodes(); ++id) {
-    node_blob += kb_.NodeString(id).size();
-  }
-  for (PredId p = 0; p < kb_.num_predicates(); ++p) {
-    pred_blob += kb_.PredicateString(p).size();
-  }
-  const size_t out_csr = 8 + (8 + (kb_.num_nodes() + 1) * 8 + node_blob) +
-                         kb_.num_nodes() +
-                         (8 + (kb_.num_predicates() + 1) * 8 + pred_blob) + 4;
-  const size_t offsets_begin = out_csr + 8;  // past edge_count
-  ASSERT_LT(offsets_begin + (kb_.num_nodes() + 1) * 8, bytes.size());
+  // The out-CSR section is the delta-run offset array followed by the
+  // per-node edge runs.
+  const std::string& out_csr = sections[2];
+  const auto* begin = reinterpret_cast<const uint8_t*>(out_csr.data());
+  const uint8_t* p = begin;
+  std::vector<uint64_t> offsets;
+  ASSERT_TRUE(
+      util::DecodeDeltaRun64(&p, begin + out_csr.size(), &offsets));
+  ASSERT_EQ(offsets.size(), kb_.num_nodes() + 1);
+  ASSERT_EQ(offsets.back(), kb_.num_triples());
+  const std::string edge_runs = out_csr.substr(static_cast<size_t>(p - begin));
 
-  auto corrupt_u64_at = [&](size_t pos, uint64_t value) {
-    std::string mutated = bytes;
-    std::memcpy(mutated.data() + pos, &value, sizeof(value));
+  // Re-encodes the out-CSR section with `mutated` offsets, checksums
+  // recomputed, and loads the result.
+  auto load_with_offsets = [&](const std::vector<uint64_t>& mutated) {
+    std::string section;
+    util::AppendDeltaRun64(&section, mutated.data(), mutated.size());
+    section += edge_runs;
+    std::vector<std::string> patched = sections;
+    patched[2] = section;
+    const std::string file = AssembleSnapshot(bytes.substr(0, 8), patched);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
+    out.write(file.data(), static_cast<std::streamsize>(file.size()));
     out.close();
     return KnowledgeBase::Load(path);
   };
+  auto expect_csr_rejected = [](const Result<KnowledgeBase>& loaded) {
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    // Rejected by decoding or validation, not by a section checksum.
+    EXPECT_NE(loaded.status().message().find("out CSR"), std::string::npos)
+        << loaded.status();
+    EXPECT_EQ(loaded.status().message().find("section"), std::string::npos)
+        << loaded.status();
+  };
 
-  // offsets[1] jumps past everything: non-monotone and inconsistent with
-  // the edge-count header. Must fail *before* any edge-buffer allocation.
-  auto non_monotone = corrupt_u64_at(offsets_begin + 8, ~uint64_t{0} / 2);
-  ASSERT_FALSE(non_monotone.ok());
-  EXPECT_EQ(non_monotone.status().code(), StatusCode::kCorruption);
+  // offsets[1] jumps past everything: non-monotone, and the wrapped delta
+  // must fail before any edge-buffer allocation.
+  std::vector<uint64_t> non_monotone = offsets;
+  non_monotone[1] = ~uint64_t{0} / 2;
+  expect_csr_rejected(load_with_offsets(non_monotone));
 
-  // offsets[num_nodes] disagrees with edge_count while staying monotone.
-  auto tail_mismatch = corrupt_u64_at(
-      offsets_begin + kb_.num_nodes() * 8, kb_.num_triples() + 100);
-  ASSERT_FALSE(tail_mismatch.ok());
-  EXPECT_EQ(tail_mismatch.status().code(), StatusCode::kCorruption);
+  // The tail offset disagrees with the edges the section holds while the
+  // array stays monotone.
+  std::vector<uint64_t> tail_mismatch = offsets;
+  tail_mismatch.back() = kb_.num_triples() + 100;
+  expect_csr_rejected(load_with_offsets(tail_mismatch));
 
   std::remove(path.c_str());
 }
 
-TEST_F(ToyKbTest, LoadRejectsOversizedV2CountsBeforeAllocating) {
-  // The legacy v2 layout carries raw u64 counts with no checksum. A count
-  // that stays under the 2^32 structural cap but exceeds what the file
-  // could possibly hold must fail as a clean Corruption *before* any
-  // buffer is sized from it — otherwise a 16-byte file can demand a
-  // 34 GB offsets array.
-  std::string path = ::testing::TempDir() + "/oversized_v2.bin";
-  ASSERT_TRUE(kb_.Save(path, /*format_version=*/2).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
+TEST_F(ToyKbTest, LoadRejectsForgedDictionaryCountBeforeAllocating) {
+  // A 29-byte v3 file whose node section is intact (correct length and
+  // FNV-1a checksum) but whose dictionary count claims 2^31 entries. The
+  // count is under the 2^32 structural cap, yet the 5-byte section cannot
+  // hold that many front-coded strings (each takes at least 2 bytes), so
+  // Load must fail as a clean Corruption *before* reserving for them —
+  // never bad_alloc.
+  constexpr uint64_t kMagicV3 = 0x4b42514152444633ULL;  // "KBQARDF3"
+  std::string node_section;
+  util::PutVarint64(&node_section, uint64_t{1} << 31);
+  ASSERT_EQ(node_section.size(), 5u);
+  const std::string file = AssembleSnapshot(
+      std::string(reinterpret_cast<const char*>(&kMagicV3), 8),
+      {node_section});
+  ASSERT_EQ(file.size(), 29u);
 
-  auto corrupt_u64_at = [&](std::string mutated, size_t pos, uint64_t value) {
-    std::memcpy(mutated.data() + pos, &value, sizeof(value));
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
-    out.close();
-    return KnowledgeBase::Load(path);
-  };
-
-  // Node-dictionary count claims ~4 billion entries right after the magic.
-  auto huge_dict = corrupt_u64_at(bytes, 8, 0xFFFFFFFFull);
-  ASSERT_FALSE(huge_dict.ok());
-  EXPECT_EQ(huge_dict.status().code(), StatusCode::kCorruption);
-
-  // Out-CSR edge count claims 2^30 edges (an 8 GB buffer), with the
-  // offsets tail patched to agree so the count/offsets cross-check alone
-  // would not catch the lie.
-  size_t node_blob = 0, pred_blob = 0;
-  for (TermId id = 0; id < kb_.num_nodes(); ++id) {
-    node_blob += kb_.NodeString(id).size();
-  }
-  for (PredId p = 0; p < kb_.num_predicates(); ++p) {
-    pred_blob += kb_.PredicateString(p).size();
-  }
-  const size_t out_csr = 8 + (8 + (kb_.num_nodes() + 1) * 8 + node_blob) +
-                         kb_.num_nodes() +
-                         (8 + (kb_.num_predicates() + 1) * 8 + pred_blob) + 4;
-  const size_t offsets_tail = out_csr + 8 + kb_.num_nodes() * 8;
-  ASSERT_LT(offsets_tail + 8, bytes.size());
-  std::string mutated = bytes;
-  const uint64_t huge_edges = uint64_t{1} << 30;
-  std::memcpy(mutated.data() + out_csr, &huge_edges, sizeof(huge_edges));
-  auto huge_csr = corrupt_u64_at(std::move(mutated), offsets_tail, huge_edges);
-  ASSERT_FALSE(huge_csr.ok());
-  EXPECT_EQ(huge_csr.status().code(), StatusCode::kCorruption);
-
+  std::string path = ::testing::TempDir() + "/forged_dict_count.bin";
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(file.data(), static_cast<std::streamsize>(file.size()));
+  out.close();
+  auto loaded = KnowledgeBase::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("node dictionary"),
+            std::string::npos)
+      << loaded.status();
   std::remove(path.c_str());
-}
-
-TEST_F(ToyKbTest, V2SnapshotLoadsIdenticallyThroughV3Reader) {
-  // Backward compat: the same frozen store written as v2 and as v3 must
-  // load into element-for-element identical in-memory form.
-  std::string v2_path = ::testing::TempDir() + "/compat_v2.bin";
-  std::string v3_path = ::testing::TempDir() + "/compat_v3.bin";
-  ASSERT_TRUE(kb_.Save(v2_path, /*format_version=*/2).ok());
-  ASSERT_TRUE(kb_.Save(v3_path, /*format_version=*/3).ok());
-
-  auto from_v2 = KnowledgeBase::Load(v2_path);
-  auto from_v3 = KnowledgeBase::Load(v3_path);
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status();
-  ASSERT_TRUE(from_v3.ok()) << from_v3.status();
-  const KnowledgeBase& a = from_v2.value();
-  const KnowledgeBase& b = from_v3.value();
-
-  ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  ASSERT_EQ(a.num_predicates(), b.num_predicates());
-  EXPECT_EQ(a.num_triples(), b.num_triples());
-  EXPECT_EQ(a.name_predicate(), b.name_predicate());
-  for (TermId id = 0; id < a.num_nodes(); ++id) {
-    EXPECT_EQ(a.NodeString(id), b.NodeString(id));
-    EXPECT_EQ(a.IsLiteral(id), b.IsLiteral(id));
-    auto out1 = a.Out(id), out2 = b.Out(id);
-    ASSERT_EQ(out1.size(), out2.size()) << "node " << id;
-    EXPECT_TRUE(std::equal(out1.begin(), out1.end(), out2.begin()));
-    auto in1 = a.In(id), in2 = b.In(id);
-    ASSERT_EQ(in1.size(), in2.size()) << "node " << id;
-    EXPECT_TRUE(std::equal(in1.begin(), in1.end(), in2.begin()));
-  }
-  for (PredId p = 0; p < a.num_predicates(); ++p) {
-    EXPECT_EQ(a.PredicateString(p), b.PredicateString(p));
-  }
-
-  // The compressed format must actually compress, even at toy scale.
-  std::ifstream f2(v2_path, std::ios::binary | std::ios::ate);
-  std::ifstream f3(v3_path, std::ios::binary | std::ios::ate);
-  EXPECT_LT(f3.tellg(), f2.tellg());
-  f2.close();
-  f3.close();
-  std::remove(v2_path.c_str());
-  std::remove(v3_path.c_str());
 }
 
 TEST_F(ToyKbTest, LoadRejectsBitFlippedV3Snapshot) {
@@ -428,7 +405,7 @@ TEST_F(ToyKbTest, LoadRejectsBitFlippedV3Snapshot) {
   // payload, or checksum — must come back as a clean Corruption, never a
   // crash, bad_alloc, or a silently different store.
   std::string path = ::testing::TempDir() + "/flip_src.bin";
-  ASSERT_TRUE(kb_.Save(path, /*format_version=*/3).ok());
+  ASSERT_TRUE(kb_.Save(path).ok());
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());

@@ -20,6 +20,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/online.h"
@@ -43,6 +44,14 @@ uint64_t CounterValue(const obs::MetricsSnapshot& snapshot,
 
 obs::MetricsSnapshot GlobalSnapshot() {
   return obs::MetricsRegistry::Global().Snapshot();
+}
+
+/// (count, sum) of a histogram in a snapshot; (0, 0) before its first use.
+std::pair<uint64_t, uint64_t> HistogramCountSum(
+    const obs::MetricsSnapshot& snapshot, const std::string& name) {
+  const auto* histogram = snapshot.histogram(name);
+  if (histogram == nullptr) return {0, 0};
+  return {histogram->count, histogram->sum};
 }
 
 core::AnswerResult EchoResult(const std::string& question) {
@@ -899,6 +908,60 @@ TEST_F(ServeEngineTest, EngineStampsStageRecordsIntoWideEvent) {
   // First ask through a fresh engine: one whole-question memo miss.
   EXPECT_EQ(e.answer_cache_misses, 1u);
   EXPECT_EQ(e.answer_cache_hits, 0u);
+}
+
+// One stage clock: the online.stage.<stage>_ns histograms are fed from the
+// same RequestContext records the wide events carry, so over a window of
+// served requests each histogram's count is the number of events that
+// entered the stage and its sum is exactly those events' stage time.
+TEST_F(ServeEngineTest, StageHistogramsEqualDrainedWideEventStages) {
+  obs::WideEvents::ResetForTest();
+  obs::WideEvents::SetSamplePeriod(1);
+  auto engine = MakeEngine();
+  ServingOptions options;
+  options.num_workers = 2;
+  auto server = Server::ForEngine(engine.get(), options);
+
+  // Distinct questions through a fresh engine: every one misses the
+  // answer cache and runs the pipeline.
+  std::vector<std::string> questions;
+  for (const auto& pair : experiment().train_corpus().pairs) {
+    if (std::find(questions.begin(), questions.end(), pair.question) ==
+        questions.end()) {
+      questions.push_back(pair.question);
+    }
+    if (questions.size() == 40) break;
+  }
+  ASSERT_EQ(questions.size(), 40u);
+
+  const obs::MetricsSnapshot before = GlobalSnapshot();
+  for (const std::string& question : questions) {
+    ASSERT_TRUE(server->Answer(question).result.status.ok());
+  }
+  server.reset();
+  const obs::MetricsSnapshot after = GlobalSnapshot();
+  const std::vector<obs::WideEvent> events = obs::WideEvents::Drain();
+  ASSERT_EQ(events.size(), questions.size());
+
+  uint64_t stages_entered = 0;
+  for (size_t s = 0; s < obs::kWideStageCount; ++s) {
+    uint64_t event_count = 0;
+    uint64_t event_ns = 0;
+    for (const obs::WideEvent& e : events) {
+      if (e.stages[s].count == 0) continue;
+      ++event_count;
+      event_ns += e.stages[s].ns;
+    }
+    const std::string name =
+        std::string("online.stage.") + obs::WideStageName(s) + "_ns";
+    const auto [count_before, sum_before] = HistogramCountSum(before, name);
+    const auto [count_after, sum_after] = HistogramCountSum(after, name);
+    EXPECT_EQ(count_after - count_before, event_count) << name;
+    EXPECT_EQ(sum_after - sum_before, event_ns) << name;
+    stages_entered += event_count;
+  }
+  // Every served question at least ran NER, so the check is not vacuous.
+  EXPECT_GE(stages_entered, questions.size());
 }
 
 }  // namespace
