@@ -1,6 +1,8 @@
 // Fuzz target: KnowledgeBase snapshot loading, v3 framing (registry:
-// src/rdf/knowledge_base.h). The seed is synthesized by saving a small KB
-// with the current writer.
+// src/rdf/knowledge_base.h, and util::FramedFileReader::Open in
+// src/util/atomic_file.h, whose section reads every Load goes through —
+// four sections in order, the most of any artifact). The seed is
+// synthesized by saving a small KB with the current writer.
 
 #include <algorithm>
 #include <string>

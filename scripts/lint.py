@@ -23,6 +23,11 @@ Static checks that encode repository conventions the compiler can't:
                 zero used symbols.
   self-contained  Every src/**/*.h compiles standalone as the sole include
                 of a TU (include-what-you-use style).
+  raw-file-write  Library code (src/) writes files only through
+                util::WriteFileAtomically (src/util/atomic_file.cc): no
+                std::ofstream, no write-mode fopen, no open() with
+                O_WRONLY / O_RDWR / O_CREAT anywhere else, so every
+                artifact and export is crash-safe by construction.
   fuzz-registry Every public parse/decode entry point in src/**/*.h (any
                 declaration matching (Parse|Decode|Import|Load|Open|
                 Unescape)*) is claimed by fuzz/registry.json, and every
@@ -188,6 +193,32 @@ def check_cout(path, raw_lines, stripped_lines, findings):
               "no std::cout/std::cerr in library code; take an "
               "std::ostream& (printing lives in tools/bench/tests)",
               findings)
+
+
+RAW_WRITE_RE = re.compile(r"std::ofstream\b|\bO_(?:WRONLY|RDWR|CREAT)\b")
+FOPEN_RE = re.compile(r"\bfopen\s*\(")
+FOPEN_MODE_RE = re.compile(r'\bfopen\s*\([^;]*?,\s*"([^"]*)"\s*\)')
+
+
+def check_raw_file_write(path, raw_lines, stripped_lines, findings):
+    rel = os.path.relpath(path, REPO).replace(os.sep, "/")
+    if rel == "src/util/atomic_file.cc":
+        return  # the one sanctioned writer
+    for lineno, line in enumerate(stripped_lines, 1):
+        raw = raw_lines[lineno - 1]
+        hit = RAW_WRITE_RE.search(line) is not None
+        if not hit and FOPEN_RE.search(line):
+            # The mode is a string literal, blanked in `line`: read it from
+            # the raw line. A mode that is not a literal on the same line
+            # cannot be proven read-only, so it counts as a write.
+            mode = FOPEN_MODE_RE.search(raw)
+            hit = mode is None or re.search(r"[wa+]", mode.group(1)) is not None
+        if hit and not suppressed(raw, "raw-file-write"):
+            findings.append(Finding(
+                path, lineno, "raw-file-write",
+                "raw file write in library code; write through "
+                "util::WriteFileAtomically so a crash mid-write never "
+                "leaves a torn file"))
 
 
 METRIC_CALL_RE = re.compile(
@@ -403,6 +434,7 @@ def main():
         if rel.startswith("src/"):
             check_naked_new(path, raw_lines, stripped_lines, findings)
             check_cout(path, raw_lines, stripped_lines, findings)
+            check_raw_file_write(path, raw_lines, stripped_lines, findings)
 
     compiler = None if args.no_compile else find_compiler()
     if not args.no_compile and compiler is None:

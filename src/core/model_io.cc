@@ -1,97 +1,116 @@
 #include "core/model_io.h"
 
+#include <bit>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/atomic_file.h"
+#include "util/coding.h"
 
 namespace kbqa::core {
 
 namespace {
 
-constexpr uint64_t kModelMagic = 0x4b42514d4f44454cULL;  // "KBQMODEL"
+constexpr uint64_t kModelMagic = 0x4b42514d4f444c32ULL;  // "KBQMODL2"
 
-void WriteString(util::FileSink& w, const std::string& s) {
-  w.WriteU64(s.size());
-  w.WriteBytes(s.data(), s.size());
+// Layout (util/atomic_file.h framing): u64 magic "KBQMODL2", then one
+// section, encoded with util/coding.h:
+//   varint num_templates, then per template:
+//     string text, varint frequency, varint dist_size, then per entry:
+//       varint path_len, path_len predicate-name strings,
+//       fixed64 probability (the double's bit pattern: round trips exactly)
+// A string is a varint length followed by its bytes.
+
+void PutString(std::string* dst, std::string_view s) {
+  util::PutVarint64(dst, s.size());
+  dst->append(s);
 }
-bool ReadU64(std::FILE* f, uint64_t* v) {
-  return std::fread(v, sizeof(*v), 1, f) == 1;
-}
-bool ReadF64(std::FILE* f, double* v) {
-  return std::fread(v, sizeof(*v), 1, f) == 1;
-}
-bool ReadString(std::FILE* f, std::string* s) {
+
+const uint8_t* GetString(const uint8_t* p, const uint8_t* limit,
+                         std::string* s) {
   uint64_t n = 0;
-  if (!ReadU64(f, &n) || n > (1ULL << 30)) return false;
-  if (n > 0) {
-    // Size the buffer only after confirming the file actually holds n more
-    // bytes: a corrupt length header must fail as Corruption, not allocate
-    // up to 1 GiB first.
-    const long pos = std::ftell(f);
-    if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return false;
-    const long end = std::ftell(f);
-    if (end < 0 || std::fseek(f, pos, SEEK_SET) != 0) return false;
-    if (n > static_cast<uint64_t>(end - pos)) return false;
-  }
-  s->resize(n);
-  return n == 0 || std::fread(s->data(), 1, n, f) == n;
+  p = util::GetVarint64(p, limit, &n);
+  if (p == nullptr || n > static_cast<uint64_t>(limit - p)) return nullptr;
+  s->assign(reinterpret_cast<const char*>(p), static_cast<size_t>(n));
+  return p + n;
 }
 
 }  // namespace
 
 Status SaveModel(const TemplateStore& store, const rdf::PathDictionary& paths,
                  const rdf::KnowledgeBase& kb, const std::string& path) {
+  std::string enc;
+  util::PutVarint64(&enc, store.num_templates());
+  for (TemplateId t = 0; t < store.num_templates(); ++t) {
+    PutString(&enc, store.TemplateText(t));
+    util::PutVarint64(&enc, store.Frequency(t));
+    auto dist = store.Distribution(t);
+    util::PutVarint64(&enc, dist.size());
+    for (const PredicateProb& entry : dist) {
+      const rdf::PredPath& pred_path = paths.GetPath(entry.path);
+      util::PutVarint64(&enc, pred_path.size());
+      for (rdf::PredId p : pred_path) PutString(&enc, kb.PredicateString(p));
+      util::PutFixed64(&enc, std::bit_cast<uint64_t>(entry.probability));
+    }
+  }
   // Crash-safe: a save that dies mid-write leaves the previous model at
   // `path` intact.
   return util::WriteFileAtomically(path, [&](util::FileSink& w) {
     w.WriteU64(kModelMagic);
-    w.WriteU64(store.num_templates());
-    for (TemplateId t = 0; w.ok() && t < store.num_templates(); ++t) {
-      WriteString(w, store.TemplateText(t));
-      w.WriteU64(store.Frequency(t));
-      auto dist = store.Distribution(t);
-      w.WriteU64(dist.size());
-      for (const PredicateProb& entry : dist) {
-        const rdf::PredPath& pred_path = paths.GetPath(entry.path);
-        w.WriteU64(pred_path.size());
-        for (rdf::PredId p : pred_path) {
-          WriteString(w, kb.PredicateString(p));
-        }
-        w.WriteF64(entry.probability);
-      }
-    }
+    w.WriteSection(enc);
   });
 }
 
 Result<LoadedModel> LoadModel(const rdf::KnowledgeBase& kb,
                               const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open for read: " + path);
+  auto opened = util::FramedFileReader::Open(path);
+  if (!opened.ok()) return opened.status();
+  util::FramedFileReader& file = opened.value();
+  if (file.magic() != kModelMagic) return file.Corruption("bad magic");
+  std::string enc;
+  if (Status st = file.ReadSection("model", &enc); !st.ok()) return st;
+  if (file.remaining() != 0) return file.Corruption("trailing bytes");
+  auto fail = [&file](std::string_view what) -> Result<LoadedModel> {
+    return file.Corruption("bad model " + std::string(what));
+  };
+
+  const uint8_t* p = reinterpret_cast<const uint8_t*>(enc.data());
+  const uint8_t* const limit = p + enc.size();
   LoadedModel model;
-  uint64_t magic = 0, num_templates = 0;
-  bool ok = ReadU64(f, &magic) && magic == kModelMagic &&
-            ReadU64(f, &num_templates);
-  for (uint64_t t = 0; ok && t < num_templates; ++t) {
-    std::string text;
+  uint64_t num_templates = 0;
+  if ((p = util::GetVarint64(p, limit, &num_templates)) == nullptr) {
+    return fail("template count");
+  }
+  std::string text;
+  std::string pred_name;
+  for (uint64_t t = 0; t < num_templates; ++t) {
     uint64_t frequency = 0, dist_size = 0;
-    ok = ReadString(f, &text) && ReadU64(f, &frequency) &&
-         ReadU64(f, &dist_size);
-    if (!ok) break;
-    TemplateId id = model.store.Intern(text);
+    if ((p = GetString(p, limit, &text)) == nullptr) {
+      return fail("template text");
+    }
+    if ((p = util::GetVarint64(p, limit, &frequency)) == nullptr ||
+        (p = util::GetVarint64(p, limit, &dist_size)) == nullptr) {
+      return fail("template header");
+    }
+    const TemplateId id = model.store.Intern(text);
     model.store.AddFrequency(id, frequency);
     std::vector<PredicateProb> dist;
     double dropped_mass = 0;
-    for (uint64_t d = 0; ok && d < dist_size; ++d) {
+    for (uint64_t d = 0; d < dist_size; ++d) {
       uint64_t path_len = 0;
-      ok = ReadU64(f, &path_len) && path_len >= 1 && path_len <= 16;
+      p = util::GetVarint64(p, limit, &path_len);
+      if (p == nullptr || path_len < 1 || path_len > 16) {
+        return fail("predicate path length");
+      }
       rdf::PredPath pred_path;
       bool resolvable = true;
-      for (uint64_t i = 0; ok && i < path_len; ++i) {
-        std::string pred_name;
-        ok = ReadString(f, &pred_name);
-        if (!ok) break;
+      for (uint64_t i = 0; i < path_len; ++i) {
+        if ((p = GetString(p, limit, &pred_name)) == nullptr) {
+          return fail("predicate name");
+        }
         auto pred = kb.LookupPredicate(pred_name);
         if (pred) {
           pred_path.push_back(*pred);
@@ -99,12 +118,16 @@ Result<LoadedModel> LoadModel(const rdf::KnowledgeBase& kb,
           resolvable = false;  // predicate no longer in the KB
         }
       }
-      double probability = 0;
-      ok = ok && ReadF64(f, &probability);
+      uint64_t bits = 0;
+      if ((p = util::GetFixed64(p, limit, &bits)) == nullptr) {
+        return fail("probability");
+      }
+      const double probability = std::bit_cast<double>(bits);
       // NaN would break SetDistribution's sort (strict weak ordering);
       // infinities and negatives are equally meaningless as probabilities.
-      ok = ok && std::isfinite(probability) && probability >= 0;
-      if (!ok) break;
+      if (!std::isfinite(probability) || probability < 0) {
+        return fail("probability");
+      }
       if (resolvable) {
         dist.push_back(
             PredicateProb{model.paths.Intern(pred_path), probability});
@@ -112,7 +135,6 @@ Result<LoadedModel> LoadModel(const rdf::KnowledgeBase& kb,
         dropped_mass += probability;
       }
     }
-    if (!ok) break;
     if (!dist.empty() && dropped_mass > 0) {
       const double keep = 1.0 - dropped_mass;
       if (keep > 0) {
@@ -121,8 +143,7 @@ Result<LoadedModel> LoadModel(const rdf::KnowledgeBase& kb,
     }
     model.store.SetDistribution(id, std::move(dist));
   }
-  std::fclose(f);
-  if (!ok) return Status::Corruption("malformed model file: " + path);
+  if (p != limit) return file.Corruption("trailing model bytes");
   return model;
 }
 

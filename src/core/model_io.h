@@ -18,7 +18,8 @@ struct LoadedModel {
 };
 
 /// Persists the learned model (templates, frequencies, P(p|t)) to a binary
-/// file. Predicate paths are stored by *predicate name*, not by id, so a
+/// file: magic "KBQMODL2" and one checksummed section (DESIGN.md §7).
+/// Predicate paths are stored by *predicate name*, not by id, so a
 /// model can be loaded against any knowledge base that defines the same
 /// predicates — the offline procedure runs once (§7.4) and its artifact is
 /// reusable across processes. Crash-safe (util::WriteFileAtomically): a
@@ -26,7 +27,8 @@ struct LoadedModel {
 [[nodiscard]] Status SaveModel(const TemplateStore& store, const rdf::PathDictionary& paths,
                  const rdf::KnowledgeBase& kb, const std::string& path);
 
-/// Loads a model written by SaveModel. Distribution entries whose predicate
+/// Loads a model written by SaveModel; a bad magic, a failed checksum or a
+/// malformed field is a Corruption. Distribution entries whose predicate
 /// names are absent from `kb` are dropped (and the distribution
 /// renormalized) rather than failing — the usual KB-evolution semantics.
 [[nodiscard]] Result<LoadedModel> LoadModel(const rdf::KnowledgeBase& kb,

@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "util/atomic_file.h"
 #include "util/strings.h"
 
 namespace kbqa::corpus {
@@ -55,16 +56,16 @@ std::string UnescapeTsvField(const std::string& field) {
 }
 
 Status ExportQaTsv(const QaCorpus& corpus, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for write: " + path);
-  out << "# question\tanswer (" << corpus.size() << " pairs)\n";
-  for (const QaPair& pair : corpus.pairs) {
-    out << EscapeTsvField(pair.question) << '\t'
-        << EscapeTsvField(pair.answer) << '\n';
-  }
-  out.flush();
-  if (!out) return Status::IoError("short write: " + path);
-  return Status::Ok();
+  // Crash-safe: an export that dies part-way leaves the previous file at
+  // `path` whole.
+  return util::WriteFileAtomically(path, [&corpus](util::FileSink& w) {
+    w.Write("# question\tanswer (" + std::to_string(corpus.size()) +
+            " pairs)\n");
+    for (const QaPair& pair : corpus.pairs) {
+      w.Write(EscapeTsvField(pair.question) + '\t' +
+              EscapeTsvField(pair.answer) + '\n');
+    }
+  });
 }
 
 Result<QaCorpus> ImportQaTsv(const std::string& path) {

@@ -1,10 +1,6 @@
 #include "rdf/compressed_expanded.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <span>
 
 #include "obs/wide_event.h"
@@ -17,10 +13,9 @@ namespace {
 
 constexpr uint64_t kMagicExp3 = 0x4b42514145585033ULL;  // "KBQAEXP3"
 
-// Sanity caps mirroring the KB snapshot reader: reject counts no plausible
+// Sanity cap mirroring the KB snapshot reader: reject counts no plausible
 // snapshot reaches before sizing any buffer from them.
 constexpr uint64_t kMaxCount = 1ULL << 32;
-constexpr uint64_t kMaxBlobBytes = 1ULL << 34;
 
 /// Encodes one subject's sorted-unique (path, object) run: varint length,
 /// first pair as (varint path, varint object), then per pair varint Δpath
@@ -43,13 +38,6 @@ void AppendRun(std::string* enc,
 }
 
 }  // namespace
-
-void CompressedExpandedKb::ScopedFd::Reset() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
 
 Result<CompressedExpandedKb> CompressedExpandedKb::FromExpanded(
     const ExpandedKb& ekb, const Options& options) {
@@ -103,13 +91,13 @@ Result<CompressedExpandedKb> CompressedExpandedKb::FromExpanded(
 
 // ---- Snapshot I/O ----
 //
-// Layout: u64 magic; one framed metadata section
-// [u64 len][bytes][u64 FNV-1a] holding varint num_triples,
+// Layout (util/atomic_file.h framing): u64 magic "KBQAEXP3"; one
+// metadata section holding varint num_triples,
 // raw_equivalent_bytes, path dictionary (count, then per path: length +
 // predicate ids), the delta-coded subject array, and the block index
 // (per block: varint num_subjects, num_edges, encoded_bytes, then the
-// fixed-width checksum); then the concatenated block payloads, each
-// independently checksummed via the index.
+// fixed-width checksum); then the raw tail: the concatenated block
+// payloads, each independently checksummed via the index.
 
 Status CompressedExpandedKb::Save(const std::string& path) const {
   if (!options_.blocks_resident) {
@@ -136,59 +124,25 @@ Status CompressedExpandedKb::Save(const std::string& path) const {
 
   return util::WriteFileAtomically(path, [&](util::FileSink& w) {
     w.WriteU64(kMagicExp3);
-    w.WriteU64(meta.size());
-    w.WriteBytes(meta.data(), meta.size());
-    w.WriteU64(util::Fnv1a64(meta.data(), meta.size()));
-    w.WriteBytes(payload_.data(), payload_.size());
+    w.WriteSection(meta);
+    w.Write(payload_);
   });
 }
 
 Result<CompressedExpandedKb> CompressedExpandedKb::Open(
     const std::string& path, const Options& options) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Status::IoError("cannot open for read: " + path);
+  auto opened = util::FramedFileReader::Open(path);
+  if (!opened.ok()) return opened.status();
+  util::FramedFileReader& file = opened.value();
+  auto fail = [&file](std::string_view what) -> Result<CompressedExpandedKb> {
+    return file.Corruption(what);
+  };
+  if (file.magic() != kMagicExp3) return fail("bad magic");
+  std::string meta;
+  if (Status st = file.ReadSection("metadata", &meta); !st.ok()) return st;
   CompressedExpandedKb c;
-  c.fd_ = ScopedFd(fd);
   c.options_ = options;
-  auto fail = [&path](const std::string& what) -> Result<CompressedExpandedKb> {
-    return Status::Corruption(what + " in " + path);
-  };
-
-  const off_t file_size = ::lseek(fd, 0, SEEK_END);
-  if (file_size < 0 || static_cast<uint64_t>(file_size) < 24) {
-    return fail("truncated header");
-  }
-  auto read_at = [fd](void* dst, size_t n, uint64_t off) {
-    uint8_t* out = static_cast<uint8_t*>(dst);
-    while (n > 0) {
-      const ssize_t got = ::pread(fd, out, n, static_cast<off_t>(off));
-      if (got <= 0) return false;
-      out += got;
-      off += static_cast<uint64_t>(got);
-      n -= static_cast<size_t>(got);
-    }
-    return true;
-  };
-
-  uint64_t magic = 0, meta_len = 0;
-  if (!read_at(&magic, 8, 0) || !read_at(&meta_len, 8, 8)) {
-    return fail("truncated header");
-  }
-  if (magic != kMagicExp3) return fail("bad magic");
-  if (meta_len > static_cast<uint64_t>(file_size) - 24 ||
-      meta_len > kMaxBlobBytes) {
-    return fail("bad metadata length");
-  }
-  std::string meta(meta_len, '\0');
-  uint64_t meta_sum = 0;
-  if (!read_at(meta.data(), meta.size(), 16) ||
-      !read_at(&meta_sum, 8, 16 + meta_len)) {
-    return fail("truncated metadata");
-  }
-  if (meta_sum != util::Fnv1a64(meta.data(), meta.size())) {
-    return fail("metadata checksum mismatch");
-  }
-  c.payload_offset_ = 16 + meta_len + 8;
+  c.payload_offset_ = file.offset();
 
   const uint8_t* p = reinterpret_cast<const uint8_t*>(meta.data());
   const uint8_t* limit = p + meta.size();
@@ -272,15 +226,14 @@ Result<CompressedExpandedKb> CompressedExpandedKb::Open(
     return fail("block index subject count mismatch");
   }
   if (edges != c.num_triples_) return fail("block index edge count mismatch");
-  if (c.payload_offset_ + offset != static_cast<uint64_t>(file_size)) {
-    return fail("payload size mismatch");
-  }
+  if (offset != file.remaining()) return fail("payload size mismatch");
 
   // Verify every block checksum up front so corruption surfaces at Open,
   // not as a degraded answer later. Resident mode keeps the bytes.
   if (options.blocks_resident) {
     c.payload_.resize(offset);
-    if (!read_at(c.payload_.data(), c.payload_.size(), c.payload_offset_)) {
+    if (!file.ReadAt(c.payload_offset_, c.payload_.data(),
+                     c.payload_.size())) {
       return fail("truncated payload");
     }
     for (const BlockInfo& b : c.index_) {
@@ -293,7 +246,8 @@ Result<CompressedExpandedKb> CompressedExpandedKb::Open(
     std::string buf;
     for (const BlockInfo& b : c.index_) {
       buf.resize(b.encoded_bytes);
-      if (!read_at(buf.data(), buf.size(), c.payload_offset_ + b.offset)) {
+      if (!file.ReadAt(c.payload_offset_ + b.offset, buf.data(),
+                       buf.size())) {
         return fail("truncated payload");
       }
       if (util::Fnv1a64(buf.data(), buf.size()) != b.checksum) {
@@ -301,7 +255,9 @@ Result<CompressedExpandedKb> CompressedExpandedKb::Open(
       }
     }
   }
-  if (options.blocks_resident) c.fd_.Reset();  // no paging needed
+  // Paged mode keeps the file open to page blocks from; resident mode
+  // closes it here.
+  if (!options.blocks_resident) c.file_ = std::move(file);
 
   c.cache_ = std::make_unique<BlockCache>(options.decoded_cache_budget_bytes);
   c.counters_ = std::make_unique<Counters>();
@@ -374,24 +330,9 @@ CompressedExpandedKb::FetchBlock(uint32_t block_id) const {
         info.encoded_bytes);
   } else {
     std::string buf(info.encoded_bytes, '\0');
-    uint8_t* out = reinterpret_cast<uint8_t*>(buf.data());
-    size_t n = buf.size();
-    uint64_t off = payload_offset_ + info.offset;
-    bool ok = true;
-    while (n > 0) {
-      const ssize_t got = ::pread(fd_.get(), out, n, static_cast<off_t>(off));
-      if (got <= 0) {
-        ok = false;
-        break;
-      }
-      out += got;
-      off += static_cast<uint64_t>(got);
-      n -= static_cast<size_t>(got);
-    }
-    if (ok && util::Fnv1a64(buf.data(), buf.size()) != info.checksum) {
-      ok = false;
-    }
-    if (ok) {
+    if (file_->ReadAt(payload_offset_ + info.offset, buf.data(),
+                      buf.size()) &&
+        util::Fnv1a64(buf.data(), buf.size()) == info.checksum) {
       block = DecodePayload(info,
                             reinterpret_cast<const uint8_t*>(buf.data()),
                             buf.size());

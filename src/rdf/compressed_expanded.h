@@ -5,12 +5,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "rdf/expanded_predicate.h"
 #include "rdf/knowledge_base.h"
+#include "util/atomic_file.h"
 #include "util/lru_cache.h"
 #include "util/status.h"
 
@@ -157,30 +159,6 @@ class CompressedExpandedKb {
     std::atomic<uint64_t> corrupt_blocks{0};
   };
 
-  /// Owning file descriptor with move semantics (paged mode).
-  class ScopedFd {
-   public:
-    ScopedFd() = default;
-    explicit ScopedFd(int fd) : fd_(fd) {}
-    ScopedFd(const ScopedFd&) = delete;
-    ScopedFd& operator=(const ScopedFd&) = delete;
-    ScopedFd(ScopedFd&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
-    ScopedFd& operator=(ScopedFd&& other) noexcept {
-      if (this != &other) {
-        Reset();
-        fd_ = other.fd_;
-        other.fd_ = -1;
-      }
-      return *this;
-    }
-    ~ScopedFd() { Reset(); }
-    int get() const { return fd_; }
-    void Reset();  // closes if open
-
-   private:
-    int fd_ = -1;
-  };
-
   CompressedExpandedKb() = default;
 
   /// Fetches block `block_id` through the decoded-block cache, decoding
@@ -199,7 +177,7 @@ class CompressedExpandedKb {
   uint64_t raw_equivalent_bytes_ = 0;
   Options options_;
 
-  ScopedFd fd_;                  // paged mode: open snapshot file
+  std::optional<util::FramedFileReader> file_;  // paged mode: the snapshot
   uint64_t payload_offset_ = 0;  // paged mode: file offset of block region
 
   std::unique_ptr<BlockCache> cache_;  // unique_ptr keeps the class movable

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstring>
-#include <tuple>
 #include <utility>
 
 #include "obs/obs.h"
@@ -28,27 +25,6 @@ constexpr uint64_t kMaxCount = 1ULL << 32;
 // every intermediate and final array, is bit-identical for any pool size
 // (the determinism contract of DESIGN.md §5).
 constexpr size_t kFreezeShards = 16;
-
-// Minimal binary reader for Load. Little-endian only (all supported
-// platforms).
-class BinaryReader {
- public:
-  explicit BinaryReader(std::FILE* f) : f_(f) {}
-  bool ok() const { return ok_; }
-
-  uint64_t ReadU64() {
-    uint64_t v = 0;
-    ReadBytes(&v, sizeof(v));
-    return v;
-  }
-  void ReadBytes(void* data, size_t n) {
-    if (ok_ && n > 0 && std::fread(data, 1, n, f_) != n) ok_ = false;
-  }
-
- private:
-  std::FILE* f_;
-  bool ok_ = true;
-};
 
 inline bool EdgeLess(const PredicateObject& a, const PredicateObject& b) {
   return a.p != b.p ? a.p < b.p : a.o < b.o;
@@ -338,8 +314,8 @@ bool ValidCsr(const std::vector<uint64_t>& offsets,
 
 // ---- Snapshot v3: compressed sections (util/coding.h codecs) ----
 //
-// Layout: u64 magic, then four framed sections, each
-// [u64 byte_len][encoded bytes][u64 FNV-1a checksum]:
+// Layout: u64 magic "KBQARDF3", then four framed sections
+// (util/atomic_file.h):
 //   1. node dictionary   — varint count + front-coded strings + bit-packed
 //                          is_literal flags (1 bit per node)
 //   2. pred dictionary   — varint count + front-coded strings + varint
@@ -350,31 +326,6 @@ bool ValidCsr(const std::vector<uint64_t>& offsets,
 // (varint p, varint o); each following edge stores varint Δp, then — when
 // Δp is 0 — varint Δo (objects strictly increase within a predicate),
 // otherwise the absolute varint o.
-
-void WriteSection(util::FileSink& w, const std::string& enc) {
-  w.WriteU64(enc.size());
-  w.WriteBytes(enc.data(), enc.size());
-  w.WriteU64(util::Fnv1a64(enc.data(), enc.size()));
-}
-
-/// Reads one framed section. `remaining_file_bytes` bounds the length
-/// header before the buffer is sized from it, so a corrupt length yields a
-/// clean failure instead of a giant allocation.
-bool ReadSection(BinaryReader& r, uint64_t remaining_file_bytes,
-                 std::string* enc) {
-  const uint64_t len = r.ReadU64();
-  // The first comparison bounds `len` by the (small) file size, so the
-  // second cannot wrap around.
-  if (!r.ok() || len > remaining_file_bytes ||
-      len + 16 > remaining_file_bytes) {
-    return false;
-  }
-  enc->resize(len);
-  r.ReadBytes(enc->data(), len);
-  if (!r.ok()) return false;
-  const uint64_t checksum = r.ReadU64();
-  return r.ok() && checksum == util::Fnv1a64(enc->data(), enc->size());
-}
 
 void AppendDictionary(std::string* enc, const Dictionary& dict) {
   util::PutVarint64(enc, dict.size());
@@ -484,63 +435,50 @@ Status KnowledgeBase::Save(const std::string& path) const {
     for (size_t i = 0; i < nodes_.size(); ++i) kind_bits[i] = is_literal_[i];
     util::AppendBitPacked(&nodes_enc, kind_bits.data(), kind_bits.size(),
                           /*bits=*/1);
-    WriteSection(w, nodes_enc);
+    w.WriteSection(nodes_enc);
 
     std::string preds_enc;
     AppendDictionary(&preds_enc, predicates_);
     util::PutVarint64(&preds_enc, name_predicate_);
-    WriteSection(w, preds_enc);
+    w.WriteSection(preds_enc);
 
-    WriteSection(w, EncodeCsr(out_offsets_, out_edges_));
-    WriteSection(w, EncodeCsr(in_offsets_, in_edges_));
+    w.WriteSection(EncodeCsr(out_offsets_, out_edges_));
+    w.WriteSection(EncodeCsr(in_offsets_, in_edges_));
   });
 }
 
 Result<KnowledgeBase> KnowledgeBase::Load(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open for read: " + path);
-  BinaryReader r(f);
-  KnowledgeBase kb;
-  auto fail = [&](const std::string& what) -> Result<KnowledgeBase> {
-    std::fclose(f);
-    return Status::Corruption(what + " in " + path);
-  };
-
-  uint64_t magic = r.ReadU64();
-  if (magic == kMagicV1) {
-    return fail(
+  auto opened = util::FramedFileReader::Open(path);
+  if (!opened.ok()) return opened.status();
+  util::FramedFileReader& file = opened.value();
+  if (file.magic() == kMagicV1) {
+    return file.Corruption(
         "unsupported snapshot format version 1 (pre-CSR); re-export the KB "
         "and Save() it with this build");
   }
-  if (magic != kMagicV3) return fail("bad magic");
+  if (file.magic() != kMagicV3) return file.Corruption("bad magic");
 
-  // Total file size gates every section length before a buffer is sized
-  // from it: a corrupt header must fail with Corruption, never trigger a
-  // garbage-sized allocation.
-  if (std::fseek(f, 0, SEEK_END) != 0) return fail("unseekable snapshot");
-  const long file_end = std::ftell(f);
-  if (file_end < 8 || std::fseek(f, 8, SEEK_SET) != 0) {
-    return fail("unseekable snapshot");
-  }
-  uint64_t remaining = static_cast<uint64_t>(file_end) - 8;
+  KnowledgeBase kb;
   std::string enc;
-  auto section_bytes = [&enc] {
-    return std::pair<const uint8_t*, const uint8_t*>(
-        reinterpret_cast<const uint8_t*>(enc.data()),
-        reinterpret_cast<const uint8_t*>(enc.data()) + enc.size());
+  const uint8_t* p = nullptr;
+  const uint8_t* limit = nullptr;
+  // Reads the next section into `enc` and points [p, limit) at it.
+  auto next_section = [&](std::string_view name) {
+    const Status st = file.ReadSection(name, &enc);
+    p = reinterpret_cast<const uint8_t*>(enc.data());
+    limit = p + enc.size();
+    return st;
   };
 
-  if (!ReadSection(r, remaining, &enc)) return fail("bad node section");
-  remaining -= enc.size() + 16;
-  auto [p, limit] = section_bytes();
+  if (Status st = next_section("node"); !st.ok()) return st;
   if (!DecodeDictionary(&p, limit, &kb.nodes_)) {
-    return fail("bad node dictionary");
+    return file.Corruption("bad node dictionary");
   }
   const size_t num_nodes = kb.nodes_.size();
   std::vector<uint32_t> kind_bits;
   if (!util::DecodeBitPacked(&p, limit, num_nodes, /*bits=*/1, &kind_bits) ||
       p != limit) {
-    return fail("bad node kind flags");
+    return file.Corruption("bad node kind flags");
   }
   kb.is_literal_.resize(num_nodes);
   kb.num_entities_ = 0;
@@ -549,43 +487,38 @@ Result<KnowledgeBase> KnowledgeBase::Load(const std::string& path) {
     if (kind_bits[i] == 0) ++kb.num_entities_;
   }
 
-  if (!ReadSection(r, remaining, &enc)) return fail("bad predicate section");
-  remaining -= enc.size() + 16;
-  std::tie(p, limit) = section_bytes();
+  if (Status st = next_section("predicate"); !st.ok()) return st;
   if (!DecodeDictionary(&p, limit, &kb.predicates_)) {
-    return fail("bad predicate dictionary");
+    return file.Corruption("bad predicate dictionary");
   }
   uint64_t name_pred = 0;
   p = util::GetVarint64(p, limit, &name_pred);
-  if (p == nullptr || p != limit) return fail("bad name predicate");
+  if (p == nullptr || p != limit) return file.Corruption("bad name predicate");
   if (name_pred != kInvalidPred && name_pred >= kb.predicates_.size()) {
-    return fail("name predicate out of range");
+    return file.Corruption("name predicate out of range");
   }
 
-  if (!ReadSection(r, remaining, &enc)) return fail("bad out CSR section");
-  remaining -= enc.size() + 16;
-  std::tie(p, limit) = section_bytes();
+  if (Status st = next_section("out CSR"); !st.ok()) return st;
   if (!DecodeCsr(p, limit, num_nodes, &kb.out_offsets_, &kb.out_edges_)) {
-    return fail("bad out CSR block");
+    return file.Corruption("bad out CSR block");
   }
   if (!ValidCsr(kb.out_offsets_, kb.out_edges_, kb.is_literal_,
                 kb.predicates_.size(), /*anchor_is_subject=*/true)) {
-    return fail("invalid out CSR");
+    return file.Corruption("invalid out CSR");
   }
 
-  if (!ReadSection(r, remaining, &enc)) return fail("bad in CSR section");
-  std::tie(p, limit) = section_bytes();
+  if (Status st = next_section("in CSR"); !st.ok()) return st;
   if (!DecodeCsr(p, limit, num_nodes, &kb.in_offsets_, &kb.in_edges_)) {
-    return fail("bad in CSR block");
+    return file.Corruption("bad in CSR block");
   }
   if (!ValidCsr(kb.in_offsets_, kb.in_edges_, kb.is_literal_,
                 kb.predicates_.size(), /*anchor_is_subject=*/false)) {
-    return fail("invalid in CSR");
+    return file.Corruption("invalid in CSR");
   }
   if (kb.in_edges_.size() != kb.out_edges_.size()) {
-    return fail("CSR direction size mismatch");
+    return file.Corruption("CSR direction size mismatch");
   }
-  std::fclose(f);
+  if (file.remaining() != 0) return file.Corruption("trailing bytes");
 
   kb.name_predicate_ = static_cast<PredId>(name_pred);
   kb.num_triples_ = kb.out_edges_.size();

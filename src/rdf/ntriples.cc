@@ -1,12 +1,11 @@
 #include "rdf/ntriples.h"
 
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <vector>
 
+#include "util/atomic_file.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -217,24 +216,23 @@ Status ExportNTriples(const KnowledgeBase& kb, const std::string& path) {
   if (!kb.frozen()) {
     return Status::FailedPrecondition("ExportNTriples requires Freeze()");
   }
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for write: " + path);
-  out << "# exported by kbqa rdf::ExportNTriples — " << kb.num_triples()
-      << " triples\n";
-  for (TermId s = 0; s < kb.num_nodes(); ++s) {
-    if (kb.IsLiteral(s)) continue;
-    for (const auto& [p, o] : kb.Out(s)) {
-      NTriple triple;
-      triple.subject = kb.NodeString(s);
-      triple.predicate = kb.PredicateString(p);
-      triple.object = kb.NodeString(o);
-      triple.object_is_literal = kb.IsLiteral(o);
-      out << FormatNTripleLine(triple) << '\n';
+  // Crash-safe: an export that dies part-way leaves the previous file at
+  // `path` whole.
+  return util::WriteFileAtomically(path, [&kb](util::FileSink& w) {
+    w.Write("# exported by kbqa rdf::ExportNTriples — " +
+            std::to_string(kb.num_triples()) + " triples\n");
+    NTriple triple;
+    for (TermId s = 0; s < kb.num_nodes(); ++s) {
+      if (kb.IsLiteral(s)) continue;
+      for (const auto& [p, o] : kb.Out(s)) {
+        triple.subject = kb.NodeString(s);
+        triple.predicate = kb.PredicateString(p);
+        triple.object = kb.NodeString(o);
+        triple.object_is_literal = kb.IsLiteral(o);
+        w.Write(FormatNTripleLine(triple) + '\n');
+      }
     }
-  }
-  out.flush();
-  if (!out) return Status::IoError("short write: " + path);
-  return Status::Ok();
+  });
 }
 
 Result<KnowledgeBase> ImportNTriples(const std::string& path,

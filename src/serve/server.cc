@@ -79,9 +79,6 @@ ServingOptions Sanitize(ServingOptions options) {
   if (options.num_workers < 1) options.num_workers = 1;
   if (options.max_queue_depth < 1) options.max_queue_depth = 1;
   if (options.max_batch_size < 1) options.max_batch_size = 1;
-  if (options.max_inflight_batches == 0) {
-    options.max_inflight_batches = static_cast<size_t>(options.num_workers);
-  }
   return options;
 }
 
@@ -264,7 +261,7 @@ void Server::CompleteShed(Request* request, Status status,
 bool Server::CloseBatchNow() {
   batcher_wake_at_ = kNoTimeout;
   if (queue_.empty()) return false;
-  if (inflight_batches_ < options_.max_inflight_batches ||
+  if (inflight_batches_ < options_.num_workers ||
       queue_.size() >= options_.max_batch_size) {
     return true;
   }
@@ -364,7 +361,7 @@ void Server::Dispatch(std::vector<Request> batch) {
     bool acquired = false;
     {
       MutexLock lock(mu_);
-      while (inflight_batches_ >= options_.max_inflight_batches) {
+      while (inflight_batches_ >= options_.num_workers) {
         if (earliest.has_value()) {
           // Timeout: a deadline lapsed while stalled — rerun the shed
           // pass.
@@ -373,7 +370,7 @@ void Server::Dispatch(std::vector<Request> batch) {
           batcher_cv_.Wait(mu_);
         }
       }
-      if (inflight_batches_ < options_.max_inflight_batches) {
+      if (inflight_batches_ < options_.num_workers) {
         ++inflight_batches_;
         acquired = true;
       }

@@ -26,8 +26,10 @@ namespace kbqa::serve {
 /// Knobs of the in-process serving front door. Defaults are a sane
 /// low-latency configuration; the load harness sweeps them.
 struct ServingOptions {
-  /// Answering worker threads (the batch-execution parallelism). The
-  /// batcher thread is separate and never answers questions itself.
+  /// Answering worker threads (the batch-execution parallelism), and the
+  /// cap on batches in flight: once this many are unfinished the batcher
+  /// stalls, leaving requests queued where admission control sees them.
+  /// The batcher thread is separate and never answers questions itself.
   int num_workers = 1;
   /// Admission control: a Submit that would make the queue deeper than
   /// this is rejected with kUnavailable (backpressure to the caller
@@ -46,10 +48,6 @@ struct ServingOptions {
   /// without ever entering the answer pipeline. nullopt = no implicit
   /// deadline.
   std::optional<std::chrono::nanoseconds> default_timeout;
-  /// Batches allowed in flight in the worker pool at once; the batcher
-  /// stalls (leaving requests queued, where admission control sees them)
-  /// once this many are unfinished. 0 = num_workers.
-  size_t max_inflight_batches = 0;
   /// Optional SLO burn-rate monitor (must outlive the server). Every
   /// terminal outcome — answered, error, rejected, shed — is recorded as
   /// good/bad against its spec, independent of wide-event sampling.
@@ -187,7 +185,10 @@ class Server {
   CondVar batcher_cv_;
   std::deque<Request> queue_ GUARDED_BY(mu_);
   uint64_t queue_bytes_ GUARDED_BY(mu_) = 0;
-  size_t inflight_batches_ GUARDED_BY(mu_) = 0;
+  // Dispatched-but-unfinished batches, capped at num_workers: past the cap
+  // the batcher stalls and requests stay queued, where admission control
+  // sees them.
+  int inflight_batches_ GUARDED_BY(mu_) = 0;
   bool stopping_ GUARDED_BY(mu_) = false;
   // When the batcher's close wait times out: max() while it waits with no
   // timeout, min() while it is not in that wait. A Submit whose deadline

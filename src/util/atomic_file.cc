@@ -4,6 +4,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <utility>
+
+#include "util/coding.h"
 
 namespace kbqa::util {
 
@@ -19,7 +22,8 @@ void SetWriteFailureAfterBytesForTest(int64_t bytes) {
   g_write_failure_after_bytes.store(bytes, std::memory_order_relaxed);
 }
 
-void FileSink::WriteBytes(const void* data, size_t n) {
+void FileSink::Write(std::string_view bytes) {
+  const size_t n = bytes.size();
   if (!ok_ || n == 0) return;
   const int64_t fail_after =
       g_write_failure_after_bytes.load(std::memory_order_relaxed);
@@ -28,7 +32,13 @@ void FileSink::WriteBytes(const void* data, size_t n) {
     return;
   }
   written_ += static_cast<int64_t>(n);
-  if (std::fwrite(data, 1, n, f_) != n) ok_ = false;
+  if (std::fwrite(bytes.data(), 1, n, f_) != n) ok_ = false;
+}
+
+void FileSink::WriteSection(std::string_view bytes) {
+  WriteU64(bytes.size());
+  Write(bytes);
+  WriteU64(Fnv1a64(bytes.data(), bytes.size()));
 }
 
 Status WriteFileAtomically(const std::string& path,
@@ -66,6 +76,84 @@ Status WriteFileAtomically(const std::string& path,
     (void)::close(dir_fd);
   }
   return Status::Ok();
+}
+
+Result<FramedFileReader> FramedFileReader::Open(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IoError("cannot open for read: " + path);
+  FramedFileReader reader(fd, path);  // owns fd from here on
+  const off_t size = ::lseek(fd, 0, SEEK_END);
+  if (size < 0) return Status::IoError("cannot size: " + path);
+  reader.size_ = static_cast<uint64_t>(size);
+  if (reader.size_ < sizeof(reader.magic_) ||
+      !reader.ReadAt(0, &reader.magic_, sizeof(reader.magic_))) {
+    return reader.Corruption("truncated header");
+  }
+  reader.offset_ = sizeof(reader.magic_);
+  return reader;
+}
+
+FramedFileReader::FramedFileReader(int fd, std::string path)
+    : fd_(fd), path_(std::move(path)) {}
+
+FramedFileReader::FramedFileReader(FramedFileReader&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)),
+      path_(std::move(other.path_)),
+      size_(other.size_),
+      offset_(other.offset_),
+      magic_(other.magic_) {}
+
+FramedFileReader& FramedFileReader::operator=(
+    FramedFileReader&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = std::exchange(other.fd_, -1);
+    path_ = std::move(other.path_);
+    size_ = other.size_;
+    offset_ = other.offset_;
+    magic_ = other.magic_;
+  }
+  return *this;
+}
+
+FramedFileReader::~FramedFileReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status FramedFileReader::ReadSection(std::string_view name, std::string* out) {
+  const std::string section = std::string(name) + " section";
+  uint64_t len = 0;
+  if (remaining() < 16 || !ReadAt(offset_, &len, sizeof(len))) {
+    return Corruption("truncated " + section);
+  }
+  if (len > remaining() - 16) return Corruption("bad " + section + " length");
+  out->resize(len);
+  uint64_t checksum = 0;
+  if (!ReadAt(offset_ + 8, out->data(), out->size()) ||
+      !ReadAt(offset_ + 8 + len, &checksum, sizeof(checksum))) {
+    return Corruption("truncated " + section);
+  }
+  if (checksum != Fnv1a64(out->data(), out->size())) {
+    return Corruption(section + " checksum mismatch");
+  }
+  offset_ += 16 + len;
+  return Status::Ok();
+}
+
+bool FramedFileReader::ReadAt(uint64_t offset, void* dst, size_t n) const {
+  uint8_t* out = static_cast<uint8_t*>(dst);
+  while (n > 0) {
+    const ssize_t got = ::pread(fd_, out, n, static_cast<off_t>(offset));
+    if (got <= 0) return false;
+    out += got;
+    offset += static_cast<uint64_t>(got);
+    n -= static_cast<size_t>(got);
+  }
+  return true;
+}
+
+Status FramedFileReader::Corruption(std::string_view what) const {
+  return Status::Corruption(std::string(what) + " in " + path_);
 }
 
 }  // namespace kbqa::util

@@ -447,5 +447,45 @@ TEST(CompressedExpandedKbTest, ForgedMetadataCountsAreCorruptionNotOom) {
   std::remove(forged_path.c_str());
 }
 
+TEST(CompressedExpandedKbTest, SnapshotBytesAreGolden) {
+  // Pins the KBQAEXP3 format byte for byte: the FNV-1a of a fixed toy
+  // expansion's saved file (several blocks, so the raw payload tail is
+  // covered too). A change here breaks every snapshot already on disk, so
+  // it must come with a new magic, never silently.
+  rdf::KnowledgeBase kb;
+  const rdf::PredId name = kb.AddPredicate("name");
+  kb.SetNamePredicate(name);
+  const rdf::PredId marriage = kb.AddPredicate("marriage");
+  const rdf::PredId person = kb.AddPredicate("person");
+  const rdf::PredId dob = kb.AddPredicate("dob");
+  const TermId a = kb.AddEntity("person/a");
+  const TermId m = kb.AddEntity("marriage/m");
+  const TermId c = kb.AddEntity("person/c");
+  kb.AddTriple(a, name, kb.AddLiteral("barack obama"));
+  kb.AddTriple(a, dob, kb.AddLiteral("1961"));
+  kb.AddTriple(a, marriage, m);
+  kb.AddTriple(m, person, c);
+  kb.AddTriple(c, name, kb.AddLiteral("michelle obama"));
+  kb.AddTriple(c, dob, kb.AddLiteral("1964"));
+  kb.Freeze();
+  auto ekb = ExpandedKb::Build(kb, {a, m, c}, {name}, rdf::ExpansionOptions{});
+  ASSERT_TRUE(ekb.ok()) << ekb.status();
+  CompressedExpandedKb::Options options;
+  options.target_block_edges = 2;
+  auto compressed = CompressedExpandedKb::FromExpanded(ekb.value(), options);
+  ASSERT_TRUE(compressed.ok()) << compressed.status();
+  ASSERT_GT(compressed.value().num_blocks(), 1u);
+
+  const std::string path = ::testing::TempDir() + "/cekb_golden.bin";
+  ASSERT_TRUE(compressed.value().Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  EXPECT_EQ(bytes.size(), 103u);
+  EXPECT_EQ(util::Fnv1a64(bytes.data(), bytes.size()), 0xda6a27a16f4e7024ULL);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace kbqa

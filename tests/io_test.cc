@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -11,10 +14,23 @@
 #include "eval/report.h"
 #include "eval/runner.h"
 #include "rdf/ntriples.h"
+#include "util/atomic_file.h"
 #include "util/rng.h"
 
 namespace kbqa {
 namespace {
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+bool TempFileLeftBehind(const std::string& path) {
+  const std::string tmp =
+      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  return std::ifstream(tmp).good();
+}
 
 // ---------- N-Triples ----------
 
@@ -157,6 +173,37 @@ TEST(NTriplesTest, ExportImportRoundTripsAWorld) {
   std::remove(path.c_str());
 }
 
+TEST(NTriplesTest, InjectedShortWriteNeverClobbersGoodExport) {
+  auto build = [](int people) {
+    rdf::KnowledgeBase kb;
+    kb.SetNamePredicate(kb.AddPredicate("name"));
+    for (int i = 0; i < people; ++i) {
+      kb.AddTriple("person/" + std::to_string(i), "name",
+                   "person " + std::to_string(i), true);
+    }
+    kb.Freeze();
+    return kb;
+  };
+  const rdf::KnowledgeBase small = build(2);
+  const std::string path = ::testing::TempDir() + "/crash_safe.nt";
+  ASSERT_TRUE(rdf::ExportNTriples(small, path).ok());
+  const std::string good = FileBytes(path);
+
+  // A re-export of a bigger KB dies after 64 bytes (simulated crash or
+  // full disk). It must fail, and leave the previous export whole.
+  util::SetWriteFailureAfterBytesForTest(64);
+  const Status crashed = rdf::ExportNTriples(build(50), path);
+  util::SetWriteFailureAfterBytesForTest(-1);
+  EXPECT_FALSE(crashed.ok());
+  EXPECT_EQ(FileBytes(path), good);
+  auto imported = rdf::ImportNTriples(path);
+  ASSERT_TRUE(imported.ok()) << imported.status();
+  EXPECT_EQ(imported.value().num_triples(), small.num_triples());
+  EXPECT_EQ(imported.value().EntitiesByName("person 1").size(), 1u);
+  EXPECT_FALSE(TempFileLeftBehind(path));
+  std::remove(path.c_str());
+}
+
 TEST(NTriplesTest, ImportRejectsMalformedFile) {
   std::string path = ::testing::TempDir() + "/bad.nt";
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -196,6 +243,35 @@ TEST(CorpusIoTest, ExportImportRoundTrip) {
   EXPECT_EQ(imported.value().pairs[0].question, original.pairs[0].question);
   EXPECT_EQ(imported.value().pairs[0].answer, original.pairs[0].answer);
   EXPECT_FALSE(imported.value().gold[0].is_bfq);  // no gold on import
+  std::remove(path.c_str());
+}
+
+TEST(CorpusIoTest, InjectedShortWriteNeverClobbersGoodExport) {
+  corpus::QaCorpus original;
+  original.pairs.push_back({"when was barack obama born", "1961 ."});
+  original.gold.resize(1);
+  const std::string path = ::testing::TempDir() + "/crash_safe.tsv";
+  ASSERT_TRUE(corpus::ExportQaTsv(original, path).ok());
+  const std::string good = FileBytes(path);
+
+  // A re-export of a bigger corpus dies after 64 bytes (simulated crash or
+  // full disk). It must fail, and leave the previous export whole.
+  corpus::QaCorpus bigger;
+  for (int i = 0; i < 50; ++i) {
+    bigger.pairs.push_back({"question " + std::to_string(i), "answer ."});
+  }
+  bigger.gold.resize(bigger.pairs.size());
+  util::SetWriteFailureAfterBytesForTest(64);
+  const Status crashed = corpus::ExportQaTsv(bigger, path);
+  util::SetWriteFailureAfterBytesForTest(-1);
+  EXPECT_FALSE(crashed.ok());
+  EXPECT_EQ(FileBytes(path), good);
+  auto imported = corpus::ImportQaTsv(path);
+  ASSERT_TRUE(imported.ok()) << imported.status();
+  ASSERT_EQ(imported.value().size(), 1u);
+  EXPECT_EQ(imported.value().pairs[0].question, original.pairs[0].question);
+  EXPECT_EQ(imported.value().pairs[0].answer, original.pairs[0].answer);
+  EXPECT_FALSE(TempFileLeftBehind(path));
   std::remove(path.c_str());
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -27,6 +28,7 @@
 #include "rdf/knowledge_base.h"
 #include "rdf/ntriples.h"
 #include "rdf/query.h"
+#include "util/coding.h"
 #include "util/rng.h"
 
 namespace kbqa {
@@ -426,6 +428,55 @@ TEST(FailureInjectionTest, TruncatedModelFilesNeverCrash) {
   std::remove(path.c_str());
 }
 
+TEST(FailureInjectionTest, BitFlippedModelIsCorruption) {
+  // Any single corrupted byte of a saved model — magic, section length,
+  // template text, predicate name, probability or checksum — must come
+  // back as a clean Corruption, never a silently different model.
+  rdf::KnowledgeBase kb;
+  const rdf::PredId name = kb.AddPredicate("name");
+  kb.SetNamePredicate(name);
+  const rdf::PredId marriage = kb.AddPredicate("marriage");
+  const rdf::PredId person = kb.AddPredicate("person");
+  kb.AddTriple("barack", "marriage", "m1", false);
+  kb.AddTriple("m1", "person", "michelle", false);
+  kb.AddTriple("michelle", "name", "Michelle Obama", true);
+  kb.Freeze();
+  core::TemplateStore store;
+  rdf::PathDictionary paths;
+  const core::TemplateId t = store.Intern("who is the wife of $person");
+  store.AddFrequency(t, 3);
+  store.SetDistribution(t, {{paths.Intern({marriage, person, name}), 0.7},
+                            {paths.Intern({marriage}), 0.3}});
+  store.AddFrequency(store.Intern("what is $person"), 1);
+
+  const std::string path = ::testing::TempDir() + "/flip_model.bin";
+  ASSERT_TRUE(core::SaveModel(store, paths, kb, path).ok());
+  ASSERT_TRUE(core::LoadModel(kb, path).ok());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string bytes(4096, '\0');
+  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+  std::fclose(f);
+  ASSERT_GT(bytes.size(), 32u);
+  ASSERT_LT(bytes.size(), 4096u);
+
+  const std::string flip_path = ::testing::TempDir() + "/flip_model_cut.bin";
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    std::string mutated = bytes;
+    mutated[pos] = static_cast<char>(mutated[pos] ^ 0x40);
+    std::FILE* out = std::fopen(flip_path.c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    ASSERT_EQ(std::fwrite(mutated.data(), 1, mutated.size(), out),
+              mutated.size());
+    std::fclose(out);
+    auto loaded = core::LoadModel(kb, flip_path);
+    ASSERT_FALSE(loaded.ok()) << "flip at byte " << pos;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << pos;
+  }
+  std::remove(path.c_str());
+  std::remove(flip_path.c_str());
+}
+
 TEST(FailureInjectionTest, ForgedModelHeadersAreCorruptionNotOomOrNan) {
   // Hand-built model files with internally consistent structure but lying
   // headers: LoadModel must reject each with a clean Corruption — never
@@ -443,8 +494,8 @@ TEST(FailureInjectionTest, ForgedModelHeadersAreCorruptionNotOomOrNan) {
   auto put_u64 = [](std::string* s, uint64_t v) {
     s->append(reinterpret_cast<const char*>(&v), sizeof(v));
   };
-  auto put_str = [&put_u64](std::string* s, const std::string& v) {
-    put_u64(s, v.size());
+  auto put_str = [](std::string* s, const std::string& v) {
+    util::PutVarint64(s, v.size());
     *s += v;
   };
   auto load_bytes = [&](const std::string& bytes) {
@@ -454,35 +505,62 @@ TEST(FailureInjectionTest, ForgedModelHeadersAreCorruptionNotOomOrNan) {
     std::fclose(out);
     return core::LoadModel(kb, path);
   };
-  constexpr uint64_t kModelMagic = 0x4b42514d4f44454cULL;  // "KBQMODEL"
-
-  // A string length header claiming 1 GiB in a 24-byte file.
-  {
+  constexpr uint64_t kModelMagic = 0x4b42514d4f444c32ULL;  // "KBQMODL2"
+  // Frames `section` as a model file with a correct length and FNV-1a
+  // checksum, so only the decoder's own checks can reject it.
+  auto model_file = [&put_u64](const std::string& section) {
     std::string bytes;
     put_u64(&bytes, kModelMagic);
-    put_u64(&bytes, 1);                  // num_templates
-    put_u64(&bytes, uint64_t{1} << 30);  // template text "length"
-    auto loaded = load_bytes(bytes);
+    put_u64(&bytes, section.size());
+    bytes += section;
+    put_u64(&bytes, util::Fnv1a64(section.data(), section.size()));
+    return bytes;
+  };
+  // One template "who is $person" whose single entry has `probability`.
+  auto one_entry_model = [&](double probability) {
+    std::string section;
+    util::PutVarint64(&section, 1);  // num_templates
+    put_str(&section, "who is $person");
+    util::PutVarint64(&section, 3);  // frequency
+    util::PutVarint64(&section, 1);  // dist_size
+    util::PutVarint64(&section, 1);  // path_len
+    put_str(&section, "name");
+    util::PutFixed64(&section, std::bit_cast<uint64_t>(probability));
+    return model_file(section);
+  };
+  // The framing's gates all name a "section"; a decode rejection does not.
+  auto expect_decode_rejection = [](const Result<core::LoadedModel>& loaded,
+                                    const std::string& field) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().message().find(field), std::string::npos)
+        << loaded.status();
+    EXPECT_EQ(loaded.status().message().find("section"), std::string::npos)
+        << loaded.status();
+  };
+
+  // Control: the same framing with a valid probability loads.
+  ASSERT_TRUE(load_bytes(one_entry_model(0.5)).ok());
+
+  // A string length header claiming 1 GiB in a 5-byte section.
+  {
+    std::string section;
+    util::PutVarint64(&section, 1);                  // num_templates
+    util::PutVarint64(&section, uint64_t{1} << 30);  // template text "length"
+    auto loaded = load_bytes(model_file(section));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    expect_decode_rejection(loaded, "template text");
   }
 
   // A structurally valid model whose single entry carries a non-finite or
   // negative probability.
   for (double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
                      -std::numeric_limits<double>::infinity(), -0.25}) {
-    std::string bytes;
-    put_u64(&bytes, kModelMagic);
-    put_u64(&bytes, 1);  // num_templates
-    put_str(&bytes, "who is $person");
-    put_u64(&bytes, 3);  // frequency
-    put_u64(&bytes, 1);  // dist_size
-    put_u64(&bytes, 1);  // path_len
-    put_str(&bytes, "name");
-    bytes.append(reinterpret_cast<const char*>(&bad), sizeof(bad));
-    auto loaded = load_bytes(bytes);
+    auto loaded = load_bytes(one_entry_model(bad));
     ASSERT_FALSE(loaded.ok()) << "probability " << bad;
     EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << bad;
+    expect_decode_rejection(loaded, "probability");
   }
   std::remove(path.c_str());
 }

@@ -427,6 +427,21 @@ TEST_F(ToyKbTest, LoadRejectsBitFlippedV3Snapshot) {
   std::remove(flip_path.c_str());
 }
 
+TEST_F(ToyKbTest, SnapshotBytesAreGolden) {
+  // Pins the v3 snapshot format byte for byte: the FNV-1a of the toy KB's
+  // saved file. A change here breaks every snapshot already on disk, so it
+  // must come with a new magic, never silently.
+  std::string path = ::testing::TempDir() + "/golden_kb.bin";
+  ASSERT_TRUE(kb_.Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  in.close();
+  EXPECT_EQ(bytes.size(), 295u);
+  EXPECT_EQ(util::Fnv1a64(bytes.data(), bytes.size()), 0xee175abf22f8bffaULL);
+  std::remove(path.c_str());
+}
+
 TEST_F(ToyKbTest, FreezeIsBitIdenticalAcrossThreadCounts) {
   auto build = [](int num_threads) {
     KnowledgeBase kb;

@@ -143,7 +143,6 @@ TEST(ServeTest, SaturatedQueueRejectsAtAdmissionNotEnqueueThenExpire) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 1;
-  options.max_inflight_batches = 1;
   options.max_queue_depth = 2;
   // A generous deadline: a wrongly-enqueued overflow request would sit in
   // the queue and eventually come back kDeadlineExceeded instead of the
@@ -199,7 +198,6 @@ TEST(ServeTest, ExpiredInQueueIsShedWithoutInvokingHandler) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 1;
-  options.max_inflight_batches = 1;
   Server server(gate.AsHandler(), options);
   Collector collector;
 
@@ -243,7 +241,6 @@ TEST(ServeTest, BatcherCoalescesQueuedRequests) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 8;
-  options.max_inflight_batches = 1;
   Server server(gate.AsHandler(), options);
   Collector collector;
 
@@ -284,7 +281,6 @@ TEST(ServeTest, LoneRequestsDispatchAtOnceOnIdleSlots) {
   GatedHandler gate;
   ServingOptions options;
   options.num_workers = 2;
-  options.max_inflight_batches = 2;
   options.max_batch_size = 32;
   Server server(gate.AsHandler(), options);
   Collector collector;
@@ -321,7 +317,6 @@ TEST(ServeTest, DeadlineClosesAnUnderFullBatchBehindBusySlots) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 8;
-  options.max_inflight_batches = 1;
   Server server(gate.AsHandler(), options);
   Collector collector;
 
@@ -366,7 +361,6 @@ TEST(ServeTest, EarlierDeadlineArrivingLaterStillShedsOnTime) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 8;
-  options.max_inflight_batches = 1;
   Server server(gate.AsHandler(), options);
   Collector collector;
 
@@ -420,7 +414,6 @@ TEST(ServeTest, DestructionResolvesEveryAcceptedCallbackExactlyOnce) {
     ServingOptions options;
     options.num_workers = 1;
     options.max_batch_size = 1;
-    options.max_inflight_batches = 1;
     Server server(gate.AsHandler(), options);
     ASSERT_TRUE(server.Submit("r0", collector.Add()).ok());
     while (gate.entered.load() == 0) {
@@ -466,7 +459,6 @@ TEST(ServeTest, SubmitAfterShutdownStartsIsRejected) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 1;
-  options.max_inflight_batches = 1;
   options.max_queue_depth = 1;
   Server server(gate.AsHandler(), options);
   Collector collector;
@@ -551,7 +543,6 @@ TEST(WideEventServeTest, InQueueShedCarriesQueueWaitAndZeroStages) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 1;
-  options.max_inflight_batches = 1;
   Collector collector;
   {
     Server server(gate.AsHandler(), options);
@@ -593,7 +584,6 @@ TEST(WideEventServeTest, AdmissionRejectionEmitsRejectedEvent) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 1;
-  options.max_inflight_batches = 1;
   options.max_queue_depth = 1;
   Collector collector;
   std::atomic<bool> rejected_callback_ran{false};
@@ -633,7 +623,6 @@ TEST(WideEventServeTest, ShutdownShedsEmitShedShutdownEvents) {
     ServingOptions options;
     options.num_workers = 1;
     options.max_batch_size = 1;
-    options.max_inflight_batches = 1;
     Server server(gate.AsHandler(), options);
     ASSERT_TRUE(server.Submit("r0", collector.Add()).ok());
     while (gate.entered.load() == 0) {
@@ -690,7 +679,6 @@ TEST(SloServeTest, TerminalOutcomesFeedTheSloMonitorUnsampled) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 1;
-  options.max_inflight_batches = 1;
   options.slo = &slo;
   Collector collector;
   {
