@@ -359,10 +359,10 @@ int main(int argc, char** argv) {
   Check(!pool.empty(), "question pool non-empty");
 
   // ---- Phase 1: closed-loop capacity. The bare-engine number (answer
-  // cache warm, no queue, no batcher) is an upper bound only; the number
+  // cache warm, no queue, no workers) is an upper bound only; the number
   // that matters for picking an open-loop rate is saturation throughput
-  // *through the server*, which pays queueing, coalescing, dispatch, and
-  // callback overhead per request. Doubles as the batching A/B. ----
+  // *through the server*, which pays queueing, coalescing, worker wakes,
+  // and callback overhead per request. Doubles as the batching A/B. ----
   double engine_serial_qps;
   {
     Rng rng(7);
@@ -415,14 +415,14 @@ int main(int argc, char** argv) {
               "serving capacity ~%.0f qps\n",
               batch1_qps, batch32_qps, batch_speedup, server_capacity_qps);
   if (hardware_threads <= 1) {
-    // One hardware thread serializes the batch's shards: batching can only
-    // save per-dispatch overhead, not buy parallel execution, so the
-    // >=1.5x saturation-speedup criterion is structurally out of reach
-    // here (see DESIGN.md's serving section for the analysis).
+    // One hardware thread serializes the workers: batching can only save
+    // per-batch overhead, not buy parallel execution, so the >=1.5x
+    // saturation-speedup criterion is structurally out of reach here (see
+    // DESIGN.md's serving section for the analysis).
     std::printf(
-        "[batch A/B] NOTE: 1 hardware thread — shards of a batch run "
-        "sequentially, so the speedup above measures dispatch-overhead "
-        "amortization only, not parallel batch execution\n");
+        "[batch A/B] NOTE: 1 hardware thread — workers run one at a time, "
+        "so the speedup above measures per-batch overhead amortization "
+        "only, not parallel batch execution\n");
   }
 
   // ---- Phase 2: steady state, open loop below saturation. ----

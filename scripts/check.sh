@@ -52,7 +52,7 @@ run_lint() {
   python3 scripts/lint.py
   echo "== committed bench artifacts =="
   python3 scripts/validate_bench.py BENCH_memory.json BENCH_mutation.json \
-    BENCH_observability.json
+    BENCH_observability.json BENCH_serving.json
   echo "== trace_summarize golden =="
   python3 scripts/trace_summarize.py --top 3 tests/data/wide_events_golden.jsonl \
     | diff -u tests/data/wide_events_golden.txt -

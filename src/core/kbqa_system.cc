@@ -95,12 +95,13 @@ Status KbqaSystem::Train(const corpus::QaCorpus& corpus) {
   }
 
   loaded_paths_.reset();
+  paths_ = &ekb_->paths();
   online_ = std::make_unique<OnlineInference>(
-      &world_->kb, &world_->taxonomy, ner_.get(), &store_, &ekb_->paths(),
+      &world_->kb, &world_->taxonomy, ner_.get(), &store_, paths_,
       EffectiveOnlineOptions(), cekb_.get());
 
   variants_ = std::make_unique<VariantSolver>(
-      &world_->kb, &world_->taxonomy, ner_.get(), &store_, &ekb_->paths(),
+      &world_->kb, &world_->taxonomy, ner_.get(), &store_, paths_,
       VariantSolver::Options());
 
   // 5. Complex-question machinery (§5).
@@ -147,9 +148,7 @@ void KbqaSystem::PublishMemoryGauges() const {
 
 Status KbqaSystem::SaveModel(const std::string& path) const {
   if (!trained()) return Status::FailedPrecondition("train before SaveModel");
-  const rdf::PathDictionary& paths =
-      loaded_paths_ ? *loaded_paths_ : ekb_->paths();
-  return core::SaveModel(store_, paths, world_->kb, path);
+  return core::SaveModel(store_, *paths_, world_->kb, path);
 }
 
 Status KbqaSystem::LoadModel(const std::string& path) {
@@ -158,12 +157,17 @@ Status KbqaSystem::LoadModel(const std::string& path) {
   store_ = std::move(loaded.value().store);
   loaded_paths_ = std::make_unique<rdf::PathDictionary>(
       std::move(loaded.value().paths));
+  paths_ = loaded_paths_.get();
   // No compressed substrate here: its PathIds belong to a Train-time
   // expansion dictionary, not the freshly loaded one.
   online_ = std::make_unique<OnlineInference>(&world_->kb, &world_->taxonomy,
-                                              ner_.get(), &store_,
-                                              loaded_paths_.get(),
+                                              ner_.get(), &store_, paths_,
                                               EffectiveOnlineOptions());
+  // The loaded store's PathIds index the loaded dictionary, so the variant
+  // solver is rebuilt on it too.
+  variants_ = std::make_unique<VariantSolver>(
+      &world_->kb, &world_->taxonomy, ner_.get(), &store_, paths_,
+      VariantSolver::Options());
   // The decomposer (if any) belongs to a previous training run whose path
   // ids no longer match; drop it, along with any stale substrate.
   cekb_.reset();
@@ -195,10 +199,8 @@ std::unique_ptr<LiveKbqaEngine> KbqaSystem::MakeLiveEngine(
   LiveKbqaEngine::Options options;
   options.alias_predicates = world_->alias_predicates;
   options.online = EffectiveOnlineOptions();
-  const rdf::PathDictionary* paths =
-      loaded_paths_ != nullptr ? loaded_paths_.get() : &ekb_->paths();
   return std::make_unique<LiveKbqaEngine>(live, &world_->taxonomy, &store_,
-                                          paths, options);
+                                          paths_, options);
 }
 
 AnswerResult KbqaSystem::AnswerVariant(const std::string& question) const {

@@ -179,6 +179,9 @@ class KbqaSystem : public QaSystemInterface {
   /// Path dictionary backing a model restored via LoadModel (templates
   /// trained in-process use the expansion's dictionary instead).
   std::unique_ptr<rdf::PathDictionary> loaded_paths_;
+  /// The dictionary store_'s PathIds index: the expansion's after Train,
+  /// *loaded_paths_ after LoadModel. Null until one of them succeeds.
+  const rdf::PathDictionary* paths_ = nullptr;
   std::unique_ptr<VariantSolver> variants_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <utility>
@@ -31,6 +32,12 @@ uint64_t ToNs(std::chrono::steady_clock::time_point tp) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           tp.time_since_epoch())
           .count());
+}
+
+bool IsExpired(
+    const std::optional<std::chrono::steady_clock::time_point>& deadline,
+    std::chrono::steady_clock::time_point now) {
+  return deadline && *deadline <= now;
 }
 
 /// Remaining deadline budget (possibly negative) at `at_ns`; 0 when the
@@ -85,13 +92,13 @@ ServingOptions Sanitize(ServingOptions options) {
 }  // namespace
 
 Server::Server(Handler handler, const ServingOptions& options)
-    : handler_(std::move(handler)),
-      options_(Sanitize(options)),
-      // num_workers dedicated workers: the +1 "caller" slot of the pool
-      // belongs to the batcher, which only ever uses the async Submit path
-      // and never drains shards itself.
-      pool_(options_.num_workers + 1),
-      batcher_([this] { BatcherLoop(); }) {}
+    : handler_(std::move(handler)), options_(Sanitize(options)) {
+  workers_.reserve(static_cast<size_t>(options_.num_workers));
+  for (int i = 0; i < options_.num_workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
+  reaper_ = std::thread([this] { ReaperLoop(); });
+}
 
 std::unique_ptr<Server> Server::ForEngine(const core::OnlineInference* engine,
                                           const ServingOptions& options) {
@@ -118,10 +125,12 @@ Server::~Server() {
     MutexLock lock(mu_);
     stopping_ = true;
   }
-  batcher_cv_.NotifyAll();
-  // The batcher sheds whatever is still queued, then exits; ~pool_ waits
-  // for every dispatched batch (and its completion callbacks) to retire.
-  batcher_.join();
+  work_cv_.NotifyAll();
+  reaper_cv_.NotifyAll();
+  // The reaper sheds whatever is still queued, then exits; each worker
+  // finishes the batch it holds (its callbacks included) and exits.
+  reaper_.join();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 Status Server::Submit(std::string question, const core::AnswerOptions& options,
@@ -138,7 +147,6 @@ Status Server::Submit(std::string question, const core::AnswerOptions& options,
     // so a request that languishes is shed instead of served late.
     request.options.deadline = request.enqueue_time + *options_.default_timeout;
   }
-  request.charge_bytes = request.question.size() + sizeof(Request);
   // The wide-event sampling decision is fixed at admission so every layer
   // downstream sees a consistent answer, and so rejections are sampled at
   // the same rate as served requests.
@@ -147,7 +155,8 @@ Status Server::Submit(std::string question, const core::AnswerOptions& options,
     request.ctx.trace_id = obs::WideEvents::NextTraceId();
     request.ctx.admit_ns = ToNs(request.enqueue_time);
   }
-  bool wake_batcher = false;
+  bool wake_worker = false;
+  bool wake_reaper = false;
   {
     MutexLock lock(mu_);
     if (stopping_) {
@@ -156,26 +165,22 @@ Status Server::Submit(std::string question, const core::AnswerOptions& options,
       RecordRejected(request);
       return Status::Unavailable("server shutting down");
     }
-    if (queue_.size() >= options_.max_queue_depth ||
-        (options_.max_queue_bytes != 0 &&
-         queue_bytes_ + request.charge_bytes > options_.max_queue_bytes)) {
+    if (queue_.size() >= options_.max_queue_depth) {
       rejected_.Add(1);
       KBQA_COUNTER_ADD("online.serve.rejected", 1);
       RecordRejected(request);
       return Status::Unavailable("serving queue full");
     }
-    // Wake the batcher only when this push can change its decision: the
-    // queue was empty, the batch just filled, or this request's deadline
-    // comes before the batcher's current wait would end.
-    wake_batcher = queue_.empty() ||
-                   queue_.size() + 1 == options_.max_batch_size ||
-                   (request.options.deadline &&
-                    *request.options.deadline < batcher_wake_at_);
-    queue_bytes_ += request.charge_bytes;
+    // Wake the reaper only when this request's deadline comes before the
+    // reaper's current wait would end.
+    wake_reaper = request.options.deadline &&
+                  *request.options.deadline < reaper_wake_at_;
+    wake_worker = queue_.empty();
     queue_.push_back(std::move(request));
     KBQA_GAUGE_SET("online.serve.queue_depth", queue_.size());
   }
-  if (wake_batcher) batcher_cv_.NotifyOne();
+  if (wake_worker) work_cv_.NotifyOne();
+  if (wake_reaper) reaper_cv_.NotifyOne();
   return Status::Ok();
 }
 
@@ -258,49 +263,88 @@ void Server::CompleteShed(Request* request, Status status,
   request->done(std::move(response));
 }
 
-bool Server::CloseBatchNow() {
-  batcher_wake_at_ = kNoTimeout;
-  if (queue_.empty()) return false;
-  if (inflight_batches_ < options_.num_workers ||
-      queue_.size() >= options_.max_batch_size) {
-    return true;
-  }
-  // Every slot is busy and the batch has room: keep it open, but only
-  // until the earliest deadline among its requests, so Dispatch can shed
-  // them on time instead of when a slot frees.
-  for (const Request& request : queue_) {
-    if (request.options.deadline) {
-      batcher_wake_at_ = std::min(batcher_wake_at_, *request.options.deadline);
-    }
-  }
-  return batcher_wake_at_ != kNoTimeout &&
-         batcher_wake_at_ <= std::chrono::steady_clock::now();
+void Server::ShedExpired(Request* request) {
+  shed_expired_.Add(1);
+  KBQA_COUNTER_ADD("online.serve.shed_expired", 1);
+  CompleteShed(request, Status::DeadlineExceeded("deadline expired in queue"),
+               obs::WideOutcome::kShedExpired);
 }
 
-void Server::BatcherLoop() {
+void Server::WorkerLoop() {
   for (;;) {
     std::vector<Request> batch;
+    std::vector<Request> expired;
+    std::chrono::steady_clock::time_point take_time;
+    bool more = false;
     {
       MutexLock lock(mu_);
-      while (!stopping_ && !CloseBatchNow()) {
-        if (batcher_wake_at_ == kNoTimeout) {
-          batcher_cv_.Wait(mu_);
-        } else {
-          batcher_cv_.WaitUntil(mu_, batcher_wake_at_);
-        }
-      }
-      batcher_wake_at_ = kNotWaiting;
-      if (stopping_) break;
+      while (!stopping_ && queue_.empty()) work_cv_.Wait(mu_);
+      if (stopping_) return;
+      // Take what is queued, up to a full batch. A request whose deadline
+      // already lapsed never reaches the handler and never enters template
+      // matching.
+      take_time = std::chrono::steady_clock::now();
       const size_t take = std::min(queue_.size(), options_.max_batch_size);
       batch.reserve(take);
       for (size_t i = 0; i < take; ++i) {
-        queue_bytes_ -= queue_.front().charge_bytes;
-        batch.push_back(std::move(queue_.front()));
+        Request& request = queue_.front();
+        if (IsExpired(request.options.deadline, take_time)) {
+          expired.push_back(std::move(request));
+        } else {
+          batch.push_back(std::move(request));
+        }
         queue_.pop_front();
       }
       KBQA_GAUGE_SET("online.serve.queue_depth", queue_.size());
+      more = !queue_.empty();
     }
-    Dispatch(std::move(batch));
+    if (more) work_cv_.NotifyOne();
+    // Outside mu_: callbacks may re-enter Submit.
+    for (Request& request : expired) ShedExpired(&request);
+    if (!batch.empty()) ServeBatch(std::move(batch), take_time);
+  }
+}
+
+bool Server::TakeExpired(std::vector<Request>* expired) {
+  const auto now = std::chrono::steady_clock::now();
+  reaper_wake_at_ = kNoTimeout;
+  size_t kept = 0;
+  for (size_t i = 0; i < queue_.size(); ++i) {
+    Request& request = queue_[i];
+    if (IsExpired(request.options.deadline, now)) {
+      expired->push_back(std::move(request));
+      continue;
+    }
+    if (request.options.deadline) {
+      reaper_wake_at_ = std::min(reaper_wake_at_, *request.options.deadline);
+    }
+    if (kept != i) queue_[kept] = std::move(request);
+    ++kept;
+  }
+  if (expired->empty()) return false;
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(kept),
+               queue_.end());
+  KBQA_GAUGE_SET("online.serve.queue_depth", queue_.size());
+  return true;
+}
+
+void Server::ReaperLoop() {
+  for (;;) {
+    std::vector<Request> expired;
+    {
+      MutexLock lock(mu_);
+      while (!stopping_ && !TakeExpired(&expired)) {
+        if (reaper_wake_at_ == kNoTimeout) {
+          reaper_cv_.Wait(mu_);
+        } else {
+          reaper_cv_.WaitUntil(mu_, reaper_wake_at_);
+        }
+      }
+      reaper_wake_at_ = kNotWaiting;
+      if (stopping_) break;
+    }
+    // Outside mu_: callbacks may re-enter Submit.
+    for (Request& request : expired) ShedExpired(&request);
   }
   // Shutdown: complete whatever is still queued without serving it, so
   // every accepted callback fires exactly once.
@@ -308,7 +352,6 @@ void Server::BatcherLoop() {
   {
     MutexLock lock(mu_);
     leftover.swap(queue_);
-    queue_bytes_ = 0;
     KBQA_GAUGE_SET("online.serve.queue_depth", 0);
   }
   for (Request& request : leftover) {
@@ -319,156 +362,66 @@ void Server::BatcherLoop() {
   }
 }
 
-void Server::Dispatch(std::vector<Request> batch) {
-  // Acquire an in-flight slot, shedding along the way: a request whose
-  // deadline lapses — whether it already lapsed in the queue or lapses
-  // while this batch stalls behind a saturated pool — never reaches the
-  // handler and never enters template matching. The slot wait is bounded
-  // by the earliest pending deadline so sheds happen when the deadline
-  // passes, not when the stall ends.
-  for (;;) {
-    // Shed pass. Outside mu_: the batch is private to the batcher thread
-    // here, and shed callbacks may re-enter Submit.
-    const auto now = std::chrono::steady_clock::now();
-    size_t kept = 0;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Request& request = batch[i];
-      if (request.options.deadline && *request.options.deadline <= now) {
-        shed_expired_.Add(1);
-        KBQA_COUNTER_ADD("online.serve.shed_expired", 1);
-        CompleteShed(&request,
-                     Status::DeadlineExceeded("deadline expired in queue"),
-                     obs::WideOutcome::kShedExpired);
-      } else {
-        if (kept != i) batch[kept] = std::move(request);
-        ++kept;
-      }
-    }
-    batch.resize(kept);
-    if (batch.empty()) return;
-
-    std::optional<std::chrono::steady_clock::time_point> earliest;
-    for (const Request& request : batch) {
-      if (request.options.deadline &&
-          (!earliest || *request.options.deadline < *earliest)) {
-        earliest = request.options.deadline;
-      }
-    }
-
-    // Bound the number of unfinished batches in the pool: past the cap,
-    // requests wait in the admission-controlled queue (visible to
-    // backpressure) instead of in an invisible pool backlog.
-    bool acquired = false;
-    {
-      MutexLock lock(mu_);
-      while (inflight_batches_ >= options_.num_workers) {
-        if (earliest.has_value()) {
-          // Timeout: a deadline lapsed while stalled — rerun the shed
-          // pass.
-          if (!batcher_cv_.WaitUntil(mu_, *earliest)) break;
-        } else {
-          batcher_cv_.Wait(mu_);
-        }
-      }
-      if (inflight_batches_ < options_.num_workers) {
-        ++inflight_batches_;
-        acquired = true;
-      }
-    }
-    if (acquired) break;
-  }
-
+void Server::ServeBatch(std::vector<Request> batch,
+                        std::chrono::steady_clock::time_point take_time) {
   batches_.Add(1);
   KBQA_COUNTER_ADD("online.serve.batches", 1);
   KBQA_HISTOGRAM_RECORD("online.serve.batch_size", batch.size());
-
-  struct BatchState {
-    std::vector<Request> requests;
-    std::chrono::steady_clock::time_point dispatch_time;
-  };
-  auto state = std::make_shared<BatchState>();
-  state->requests = std::move(batch);
-  state->dispatch_time = std::chrono::steady_clock::now();
-
-  const size_t num_shards =
-      std::min(state->requests.size(),
-               static_cast<size_t>(options_.num_workers));
-  pool_.Submit(
-      num_shards,
-      [this, state, num_shards](size_t shard) {
-        const ShardRange range =
-            ShardOf(state->requests.size(), shard, num_shards);
-        for (size_t i = range.begin; i < range.end; ++i) {
-          Request& request = state->requests[i];
-          const auto start = std::chrono::steady_clock::now();
-          if (request.ctx.sampled) {
-            // Anchor the stage clock at the service-start reading the
-            // server already took: stage intervals then live strictly
-            // inside [start, end), so their sum can never exceed the
-            // service_ns measured from the same readings.
-            request.ctx.StartClockAt(ToNs(start));
-            request.options.request_context = &request.ctx;
-          }
-          ServeResponse response;
-          response.queue_ns =
-              NanosBetween(request.enqueue_time, state->dispatch_time);
-          response.batch_size = state->requests.size();
-          response.result = handler_(request.question, request.options);
-          const auto end = std::chrono::steady_clock::now();
-          response.service_ns = NanosBetween(start, end);
-          completed_.Add(1);
-          KBQA_COUNTER_ADD("online.serve.completed", 1);
-          KBQA_HISTOGRAM_RECORD("online.serve.queue_wait_ns",
-                                response.queue_ns);
-          KBQA_HISTOGRAM_RECORD("online.serve.service_ns",
-                                response.service_ns);
-          KBQA_HISTOGRAM_RECORD("online.serve.latency_ns",
-                                response.queue_ns + response.service_ns);
-          const Status& st = response.result.status;
-          if (options_.slo != nullptr) {
-            options_.slo->RecordRequest(
-                st.ok(), NanosBetween(request.enqueue_time, end), ToNs(end));
-          }
-          if (request.ctx.sampled) {
-            obs::WideOutcome outcome;
-            if (st.ok()) {
-              outcome = response.result.answered
-                            ? obs::WideOutcome::kAnswered
-                            : obs::WideOutcome::kUnanswered;
-            } else if (st.code() == StatusCode::kDeadlineExceeded) {
-              outcome = obs::WideOutcome::kDeadlineExceeded;
-            } else {
-              outcome = obs::WideOutcome::kError;
-            }
-            obs::WideEvent event =
-                BaseEvent(request.ctx, outcome,
-                          request.options.deadline.has_value(),
-                          request.question.size());
-            event.batch_size =
-                static_cast<uint32_t>(state->requests.size());
-            event.queue_wait_ns = response.queue_ns;
-            event.batch_wait_ns =
-                NanosBetween(state->dispatch_time, start);
-            event.service_ns = response.service_ns;
-            event.total_ns = NanosBetween(request.enqueue_time, end);
-            // Budget at the decision point: what remained when the batch
-            // was handed to the pool (the moment shedding last looked).
-            event.deadline_budget_ns = BudgetNsAt(
-                request.options.deadline, ToNs(state->dispatch_time));
-            event.StampFrom(request.ctx);
-            obs::WideEvents::Record(event);
-            RecordStageHistograms(request.ctx);
-          }
-          request.done(std::move(response));
-        }
-      },
-      [this] {
-        {
-          MutexLock lock(mu_);
-          --inflight_batches_;
-        }
-        batcher_cv_.NotifyOne();
-      });
+  for (Request& request : batch) {
+    const auto start = std::chrono::steady_clock::now();
+    if (request.ctx.sampled) {
+      // Anchor the stage clock at the service-start reading the server
+      // already took: stage intervals then live strictly inside
+      // [start, end), so their sum can never exceed the service_ns
+      // measured from the same readings.
+      request.ctx.StartClockAt(ToNs(start));
+      request.options.request_context = &request.ctx;
+    }
+    ServeResponse response;
+    response.queue_ns = NanosBetween(request.enqueue_time, take_time);
+    response.batch_size = batch.size();
+    response.result = handler_(request.question, request.options);
+    const auto end = std::chrono::steady_clock::now();
+    response.service_ns = NanosBetween(start, end);
+    completed_.Add(1);
+    KBQA_COUNTER_ADD("online.serve.completed", 1);
+    KBQA_HISTOGRAM_RECORD("online.serve.queue_wait_ns", response.queue_ns);
+    KBQA_HISTOGRAM_RECORD("online.serve.service_ns", response.service_ns);
+    KBQA_HISTOGRAM_RECORD("online.serve.latency_ns",
+                          response.queue_ns + response.service_ns);
+    const Status& st = response.result.status;
+    if (options_.slo != nullptr) {
+      options_.slo->RecordRequest(
+          st.ok(), NanosBetween(request.enqueue_time, end), ToNs(end));
+    }
+    if (request.ctx.sampled) {
+      obs::WideOutcome outcome;
+      if (st.ok()) {
+        outcome = response.result.answered ? obs::WideOutcome::kAnswered
+                                           : obs::WideOutcome::kUnanswered;
+      } else if (st.code() == StatusCode::kDeadlineExceeded) {
+        outcome = obs::WideOutcome::kDeadlineExceeded;
+      } else {
+        outcome = obs::WideOutcome::kError;
+      }
+      obs::WideEvent event =
+          BaseEvent(request.ctx, outcome, request.options.deadline.has_value(),
+                    request.question.size());
+      event.batch_size = static_cast<uint32_t>(batch.size());
+      event.queue_wait_ns = response.queue_ns;
+      event.batch_wait_ns = NanosBetween(take_time, start);
+      event.service_ns = response.service_ns;
+      event.total_ns = NanosBetween(request.enqueue_time, end);
+      // Budget at the decision point: what remained when the worker took
+      // the batch (the moment shedding last looked).
+      event.deadline_budget_ns =
+          BudgetNsAt(request.options.deadline, ToNs(take_time));
+      event.StampFrom(request.ctx);
+      obs::WideEvents::Record(event);
+      RecordStageHistograms(request.ctx);
+    }
+    request.done(std::move(response));
+  }
 }
 
 }  // namespace kbqa::serve

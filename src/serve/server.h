@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/live_engine.h"
 #include "core/online.h"
@@ -19,28 +20,24 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace kbqa::serve {
 
 /// Knobs of the in-process serving front door. Defaults are a sane
 /// low-latency configuration; the load harness sweeps them.
 struct ServingOptions {
-  /// Answering worker threads (the batch-execution parallelism), and the
-  /// cap on batches in flight: once this many are unfinished the batcher
-  /// stalls, leaving requests queued where admission control sees them.
-  /// The batcher thread is separate and never answers questions itself.
+  /// Answering worker threads. Each takes a batch straight from the queue
+  /// whenever it is idle, so at most this many batches are ever in flight;
+  /// everything else waits in the queue, where admission control sees it.
+  /// A separate reaper thread sheds queued requests whose deadline passes.
   int num_workers = 1;
   /// Admission control: a Submit that would make the queue deeper than
   /// this is rejected with kUnavailable (backpressure to the caller
   /// instead of unbounded memory + doomed-to-expire latency).
   size_t max_queue_depth = 1024;
-  /// Admission control on queued request payload bytes (question text +
-  /// per-request overhead). 0 = no byte limit.
-  uint64_t max_queue_bytes = 0;
-  /// Most requests one batch carries. The batcher is work-conserving: it
-  /// dispatches whatever is queued as soon as an in-flight slot is free,
-  /// so batches only grow past one request while every slot is busy.
+  /// Most requests one batch carries. Workers are work-conserving: an
+  /// idle worker takes whatever is queued at once, so batches only grow
+  /// past one request from what queued while every worker was busy.
   size_t max_batch_size = 32;
   /// Applied at admission to requests that carry no deadline of their own:
   /// deadline = arrival + default_timeout. Queue wait therefore counts
@@ -57,9 +54,10 @@ struct ServingOptions {
 /// The outcome of one served request, delivered to its callback.
 struct ServeResponse {
   core::AnswerResult result;
-  /// Admission to batch dispatch (for shed requests: admission to shed).
+  /// Admission to the moment a worker took its batch off the queue (for
+  /// shed requests: admission to shed).
   uint64_t queue_ns = 0;
-  /// Dispatch to completion inside the worker (0 for shed requests).
+  /// Handler start to completion inside the worker (0 for shed requests).
   uint64_t service_ns = 0;
   /// Size of the coalesced batch this request rode in (0 if shed).
   size_t batch_size = 0;
@@ -73,31 +71,34 @@ struct ServingStats {
   uint64_t completed = 0;      // went through the answer pipeline
   uint64_t shed_expired = 0;   // deadline passed while queued
   uint64_t shed_shutdown = 0;  // queued at destruction (kUnavailable)
-  uint64_t batches = 0;        // batches dispatched to the pool
+  uint64_t batches = 0;        // non-empty batches workers took to serve
   uint64_t queue_depth = 0;    // current
 };
 
 /// In-process async serving front door over the KBQA online engine: a
-/// bounded MPMC request queue with admission control, a work-conserving
-/// batcher, and worker threads (util/thread_pool) that execute batches
-/// concurrently — the batcher dispatches batch k+1 while k is still
-/// running, via the pool's async Submit + completion notification.
+/// bounded MPMC request queue with admission control, `num_workers`
+/// worker threads that take batches straight from it, and one reaper
+/// thread that sheds requests whose deadline passes while they queue.
 ///
-/// The batcher closes the batch it is building at the first of: an
-/// in-flight slot is free, the batch holds max_batch_size requests, or the
-/// earliest deadline among its requests has passed (so the shed happens
-/// on time). It never holds requests while a slot sits idle; coalescing
-/// happens only under load, from what queued while every slot was busy.
+/// A worker that is idle takes min(queued, max_batch_size) requests at
+/// once, sheds the ones already expired, and serves the rest in order. It
+/// never holds a request back while it could serve it; coalescing happens
+/// only under load, from what queued while every worker was busy. Since
+/// only an idle worker takes work, at most num_workers batches are in
+/// flight, and every other accepted request is still in the queue, where
+/// admission control counts it.
 ///
 /// Request lifecycle:
-///   Submit -> [bounded queue] -> batcher -> {shed if expired}
-///          -> worker pool -> handler(question, options) -> callback
+///   Submit -> [bounded queue] -> idle worker -> {shed if expired}
+///          -> handler(question, options) -> callback
+///   (the reaper sheds a queued request the moment its deadline passes)
 ///
 /// The callback of every *accepted* request is invoked exactly once, on a
-/// worker thread (or on the batcher/destructor thread for shed requests).
-/// A rejected Submit returns kUnavailable and never invokes the callback.
-/// Destruction stops admission, sheds still-queued requests with
-/// kUnavailable, waits for in-flight batches, then joins all threads.
+/// worker thread (or, for a request shed on its deadline, on whichever of
+/// a worker and the reaper shed it; at shutdown, on the reaper). A rejected
+/// Submit returns kUnavailable and never invokes the callback. Destruction
+/// stops admission, sheds still-queued requests with kUnavailable, lets
+/// each worker finish the batch it holds, then joins all threads.
 ///
 /// Thread safety: Submit/Answer/stats are safe from any thread.
 class Server {
@@ -128,8 +129,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Asynchronous entry point. Accepts the request into the queue and
-  /// returns Ok, or rejects with kUnavailable (queue past its depth/byte
-  /// bound, or server shutting down) without ever invoking `done`.
+  /// returns Ok, or rejects with kUnavailable (queue at its depth bound,
+  /// or server shutting down) without ever invoking `done`.
   /// `options.deadline` (or ServingOptions::default_timeout) is measured
   /// against wall time from this call on — queue wait spends the budget.
   [[nodiscard]] Status Submit(std::string question,
@@ -154,7 +155,6 @@ class Server {
     core::AnswerOptions options;
     Callback done;
     std::chrono::steady_clock::time_point enqueue_time;
-    uint64_t charge_bytes = 0;
     /// Request-scoped telemetry (DESIGN.md §8): the sampling decision and
     /// trace id are fixed at admission; the context then travels by value
     /// with the request and is stamped by every layer it crosses. Exactly
@@ -162,16 +162,27 @@ class Server {
     obs::RequestContext ctx;
   };
 
-  void BatcherLoop();
-  /// The batcher's close rule, evaluated under mu_: true once the batch it
-  /// would take should go now. Otherwise sets batcher_wake_at_ to when
-  /// the answer changes without a signal (time_point::max(): never).
-  bool CloseBatchNow() REQUIRES(mu_);
+  /// One serving thread: waits for queued work, takes a batch, sheds its
+  /// expired requests and serves the rest.
+  void WorkerLoop();
+  /// The deadline thread: sleeps until the earliest queued deadline (or a
+  /// Submit re-aims it), then sheds every queued request past its
+  /// deadline. At shutdown it sheds whatever is still queued.
+  void ReaperLoop();
+  /// The reaper's scan, under mu_: moves every expired request out of the
+  /// queue into `expired` and returns true if there was one. Otherwise
+  /// sets reaper_wake_at_ to the earliest deadline left in the queue
+  /// (time_point::max(): none).
+  bool TakeExpired(std::vector<Request>* expired) REQUIRES(mu_);
+  /// Serves one batch, already free of expired requests, in order.
+  void ServeBatch(std::vector<Request> batch,
+                  std::chrono::steady_clock::time_point take_time);
   /// Completes a request without entering the pipeline (expired in queue
   /// or shutdown shed), emitting its terminal wide event and SLO record.
   void CompleteShed(Request* request, Status status,
                     obs::WideOutcome outcome);
-  void Dispatch(std::vector<Request> batch);
+  /// CompleteShed for a request whose deadline passed while it queued.
+  void ShedExpired(Request* request);
   /// Terminal accounting for an admission-rejected request (never queued,
   /// callback never invoked — but still exactly one wide event).
   void RecordRejected(const Request& request);
@@ -180,20 +191,19 @@ class Server {
   const ServingOptions options_;
 
   mutable Mutex mu_;
-  // The batcher's one wait: arrivals that can close a batch, a freed
-  // in-flight slot, and stop all signal it.
-  CondVar batcher_cv_;
+  // Idle workers wait here for a non-empty queue or stop. Submit wakes one
+  // when its push makes the queue non-empty, and a worker that leaves
+  // requests behind wakes the next, so a queue with requests in it always
+  // has a worker awake for it without a wake per request.
+  CondVar work_cv_;
+  // The reaper waits here for an earlier deadline or stop.
+  CondVar reaper_cv_;
   std::deque<Request> queue_ GUARDED_BY(mu_);
-  uint64_t queue_bytes_ GUARDED_BY(mu_) = 0;
-  // Dispatched-but-unfinished batches, capped at num_workers: past the cap
-  // the batcher stalls and requests stay queued, where admission control
-  // sees them.
-  int inflight_batches_ GUARDED_BY(mu_) = 0;
   bool stopping_ GUARDED_BY(mu_) = false;
-  // When the batcher's close wait times out: max() while it waits with no
+  // When the reaper's wait times out: max() while it waits with no
   // timeout, min() while it is not in that wait. A Submit whose deadline
   // comes earlier wakes it to re-aim the wait.
-  std::chrono::steady_clock::time_point batcher_wake_at_ GUARDED_BY(mu_) =
+  std::chrono::steady_clock::time_point reaper_wake_at_ GUARDED_BY(mu_) =
       std::chrono::steady_clock::time_point::min();
 
   // Per-instance accounting (sharded relaxed atomics; the global
@@ -205,11 +215,9 @@ class Server {
   obs::ShardedCounter shed_shutdown_;
   obs::ShardedCounter batches_;
 
-  // Declared after every member its jobs and completion callbacks touch
-  // (handler_, mu_, batcher_cv_, the counters): ~pool_ drains in-flight
-  // batches, so it must run before those members are destroyed.
-  ThreadPool pool_;
-  std::thread batcher_;
+  // Last: the threads start in the constructor and use every member above.
+  std::vector<std::thread> workers_;
+  std::thread reaper_;
 };
 
 }  // namespace kbqa::serve

@@ -18,9 +18,6 @@ ThreadPool::ThreadPool(int num_threads) {
 ThreadPool::~ThreadPool() {
   {
     MutexLock lock(mu_);
-    // Drain before shutdown: Submit jobs may still be in flight (the
-    // serving teardown path), and their completion callbacks must run.
-    while (jobs_outstanding_ > 0) job_done_.Wait(mu_);
     shutdown_ = true;
   }
   work_ready_.NotifyAll();
@@ -35,8 +32,8 @@ void ThreadPool::WorkerLoop() {
       while (!shutdown_ && queue_.empty()) {
         work_ready_.Wait(mu_);
       }
-      // The destructor only sets shutdown_ once every job is done, so an
-      // empty queue here means nothing is left to drain.
+      // Every RunShards call has returned before the destructor runs, so
+      // no job is left to drain.
       if (shutdown_) return;
       job = queue_.front();
     }
@@ -70,16 +67,10 @@ void ThreadPool::DrainJob(const std::shared_ptr<Job>& job) {
       --job->in_flight;
       if (job->next_shard >= job->num_shards && job->in_flight == 0) {
         job->done = true;
-        --jobs_outstanding_;
         last = true;
       }
     }
-    if (last) {
-      // Completion notification, outside the lock: the callback may take
-      // its own locks (the serving layer's in-flight accounting does).
-      if (job->on_done) job->on_done();
-      job_done_.NotifyAll();
-    }
+    if (last) job_done_.NotifyAll();
   }
 }
 
@@ -105,7 +96,6 @@ void ThreadPool::RunShards(size_t num_shards,
   job->num_shards = num_shards;
   {
     MutexLock lock(mu_);
-    ++jobs_outstanding_;
     queue_.push_back(job);
   }
   work_ready_.NotifyAll();
@@ -115,37 +105,6 @@ void ThreadPool::RunShards(size_t num_shards,
     while (!job->done) job_done_.Wait(mu_);
   }
   KBQA_GAUGE_SET("thread_pool.queue_depth", 0);
-}
-
-void ThreadPool::Submit(size_t num_shards, std::function<void(size_t)> fn,
-                        std::function<void()> on_done) {
-  if (num_shards == 0) {
-    if (on_done) on_done();
-    return;
-  }
-  KBQA_COUNTER_ADD("thread_pool.jobs", 1);
-  if (workers_.empty()) {
-    // No workers to hand off to: run the whole job (and its completion)
-    // inline so a 1-thread serving configuration still drains its queue.
-    for (size_t shard = 0; shard < num_shards; ++shard) {
-      KBQA_TRACE_SPAN("thread_pool.task");
-      fn(shard);
-    }
-    KBQA_COUNTER_ADD("thread_pool.tasks", num_shards);
-    if (on_done) on_done();
-    return;
-  }
-  auto job = std::make_shared<Job>();
-  job->owned_fn = std::move(fn);
-  job->fn = &job->owned_fn;
-  job->on_done = std::move(on_done);
-  job->num_shards = num_shards;
-  {
-    MutexLock lock(mu_);
-    ++jobs_outstanding_;
-    queue_.push_back(job);
-  }
-  work_ready_.NotifyAll();
 }
 
 }  // namespace kbqa

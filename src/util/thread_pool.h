@@ -16,22 +16,16 @@ namespace kbqa {
 
 /// A fixed-size worker pool for the shared-memory parallelism layer.
 ///
-/// Work is expressed as *jobs* of statically sharded tasks. Jobs queue
-/// FIFO and workers cooperatively drain the front job, so several jobs can
-/// be in flight at once (the serving batcher dispatches batch k+1 while
-/// batch k is still running). Two submission modes:
+/// Work is expressed as *jobs* of statically sharded tasks, submitted
+/// through one entry point, RunShards: the caller participates as a worker
+/// and blocks until its job completes. Jobs from several callers queue
+/// FIFO and workers cooperatively drain the front job, so concurrent
+/// RunShards calls share the workers instead of serializing.
 ///
-///  - RunShards: synchronous — the caller participates as a worker and
-///    blocks until its job completes (the offline/EM entry point).
-///  - Submit: asynchronous — fire-and-forget with a completion callback
-///    invoked by the worker that retires the job's last shard (the online
-///    serving entry point).
-///
-/// Determinism contract (unchanged from the single-job pool): work is
-/// always a *fixed* number of statically sharded tasks (independent of the
-/// thread count), each shard writes only shard-local state, and shard
-/// results are merged in shard order by the caller (see ParallelFor /
-/// ParallelReduce below). Which thread runs which shard is therefore
+/// Determinism contract: work is always a *fixed* number of statically
+/// sharded tasks (independent of the thread count), each shard writes only
+/// shard-local state, and shard results are merged in shard order by the
+/// caller (see ParallelFor / ParallelReduce below). Which thread runs which shard is therefore
 /// unobservable — results are bit-identical with 1, 2, or N threads.
 ///
 /// Shard callables must not throw; the pool has no recovery path and
@@ -42,8 +36,7 @@ class ThreadPool {
   /// RunShards call, so one thread means "no workers, run inline").
   /// Values < 1 are clamped to 1.
   explicit ThreadPool(int num_threads);
-  /// Blocks until every submitted job has completed (and its completion
-  /// callback returned), then joins the workers.
+  /// Joins the workers. No RunShards call may still be running.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -57,23 +50,11 @@ class ThreadPool {
   /// once (jobs queue FIFO); not reentrant from inside a shard.
   void RunShards(size_t num_shards, const std::function<void(size_t)>& fn);
 
-  /// Enqueues a job of `num_shards` shards and returns immediately: the
-  /// calling thread never runs a shard. `on_done` (may be empty) fires on
-  /// the worker that retires the last shard — the completion notification
-  /// an async caller chains its own bookkeeping onto. On a pool with no
-  /// workers the job runs inline here (completion included) so a 1-thread
-  /// configuration still makes progress. The pool keeps `fn`/`on_done`
-  /// alive until the job retires.
-  void Submit(size_t num_shards, std::function<void(size_t)> fn,
-              std::function<void()> on_done);
-
  private:
-  /// One queued job. `fn` points at the caller's callable for RunShards
-  /// (alive across the blocking call) or at `owned_fn` for Submit.
+  /// One queued job; `fn` is the RunShards caller's callable, alive
+  /// across the blocking call.
   struct Job {
-    std::function<void(size_t)> owned_fn;
     const std::function<void(size_t)>* fn = nullptr;
-    std::function<void()> on_done;
     size_t next_shard = 0;
     size_t num_shards = 0;
     size_t in_flight = 0;
@@ -82,8 +63,8 @@ class ThreadPool {
 
   void WorkerLoop();
   /// Claims and runs shards of `job` until none remain to hand out. The
-  /// thread that retires the last shard marks the job done, runs its
-  /// completion callback, and signals job_done_.
+  /// thread that retires the last shard marks the job done and signals
+  /// job_done_.
   void DrainJob(const std::shared_ptr<Job>& job);
 
   std::vector<std::thread> workers_;
@@ -94,8 +75,6 @@ class ThreadPool {
   /// Jobs that still have unclaimed shards, FIFO. A job leaves the queue
   /// the moment its last shard is claimed (it may still be running).
   std::deque<std::shared_ptr<Job>> queue_ GUARDED_BY(mu_);
-  /// Jobs submitted but not yet done — what the destructor waits on.
-  size_t jobs_outstanding_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
 };
 

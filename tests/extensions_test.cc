@@ -359,5 +359,33 @@ TEST_F(ExtensionsTest, VariantDeclinesNonVariantQuestions) {
                    .answered);
 }
 
+TEST_F(ExtensionsTest, VariantsSurviveModelReload) {
+  // A loaded store's PathIds are interned in store order, not in the
+  // Train-time expansion's order, so the variant solver must read them
+  // through the loaded dictionary — on a system that was trained before
+  // the load as much as on a fresh one.
+  const std::string path = ::testing::TempDir() + "/variant_model.bin";
+  core::KbqaSystem reloaded(&experiment().world(), experiment().config().kbqa);
+  ASSERT_TRUE(reloaded.Train(experiment().train_corpus()).ok());
+  ASSERT_TRUE(reloaded.SaveModel(path).ok());
+  ASSERT_TRUE(reloaded.LoadModel(path).ok());
+  core::KbqaSystem fresh(&experiment().world(), experiment().config().kbqa);
+  ASSERT_TRUE(fresh.LoadModel(path).ok());
+
+  for (const char* q : {"which city has the largest population",
+                        "which has more people , honolulu or tokyo",
+                        "list cities ordered by population"}) {
+    const core::AnswerResult expected = experiment().kbqa().AnswerVariant(q);
+    ASSERT_TRUE(expected.answered) << q;
+    for (const core::KbqaSystem* system : {&reloaded, &fresh}) {
+      const core::AnswerResult got = system->AnswerVariant(q);
+      EXPECT_TRUE(got.answered) << q;
+      EXPECT_EQ(got.value, expected.value) << q;
+      EXPECT_EQ(got.predicate, expected.predicate) << q;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace kbqa

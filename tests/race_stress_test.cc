@@ -336,11 +336,13 @@ TEST_F(RaceStressSystemTest, EngineShutdownImmediatelyAfterInFlightWork) {
 // ---------- Serving front door ----------
 
 TEST(RaceStressTest, ServeHammerSubmittersAgainstBatcherAndTeardown) {
-  // Many submitter threads race the batcher, the worker pool, and an
-  // immediate teardown; the small queue forces the admission-control path
-  // concurrently with accepts. The invariant under all interleavings:
-  // every *accepted* request's callback runs exactly once (completed or
-  // shed at shutdown), every rejected one's never runs — and every
+  // Many submitter threads race the serving workers, the deadline reaper,
+  // and an immediate teardown; the small queue forces the admission-control
+  // path concurrently with accepts, and half the submitters attach
+  // deadlines short enough that both the reaper and the workers shed some
+  // requests. The invariant under all interleavings: every *accepted*
+  // request's callback runs exactly once (completed, shed on its deadline
+  // or shed at shutdown), every rejected one's never runs — and every
   // submitted request (accepted or not) leaves exactly one wide event,
   // even when teardown resolves it.
   obs::WideEvents::ResetForTest();
@@ -362,10 +364,16 @@ TEST(RaceStressTest, ServeHammerSubmittersAgainstBatcherAndTeardown) {
           options);
       std::vector<std::thread> submitters;
       for (int t = 0; t < 4; ++t) {
-        submitters.emplace_back([&] {
+        submitters.emplace_back([&, t] {
           for (int i = 0; i < 200; ++i) {
+            core::AnswerOptions answer_options;
+            if (t % 2 == 1) {
+              answer_options.deadline = std::chrono::steady_clock::now() +
+                                        std::chrono::microseconds(50);
+            }
             const Status admitted = server.Submit(
-                "q", [&](serve::ServeResponse) { callbacks.fetch_add(1); });
+                "q", answer_options,
+                [&](serve::ServeResponse) { callbacks.fetch_add(1); });
             if (admitted.ok()) accepted.fetch_add(1);
           }
         });
@@ -376,9 +384,9 @@ TEST(RaceStressTest, ServeHammerSubmittersAgainstBatcherAndTeardown) {
     }
     ASSERT_EQ(callbacks.load(), accepted.load());
     // Exactly-once emission through teardown: 800 submissions -> 800 wide
-    // events, with accepted requests split between answered and
-    // shutdown-shed exactly as their callbacks resolved, and every
-    // rejection accounted for. (Ring capacity 2048/thread: no drops.)
+    // events, with accepted requests split between answered and shed
+    // exactly as their callbacks resolved, and every rejection accounted
+    // for. (Ring capacity 2048/thread: no drops.)
     const std::vector<obs::WideEvent> events = obs::WideEvents::Drain();
     ASSERT_EQ(events.size(), 4u * 200u);
     uint64_t answered = 0, shed = 0, rejected = 0, other = 0;
@@ -399,8 +407,8 @@ TEST(RaceStressTest, ServeHammerSubmittersAgainstBatcherAndTeardown) {
 
 TEST_F(RaceStressSystemTest, ServeEngineAnswersUnderConcurrentLoadCycles) {
   // Engine-backed serve loop: concurrent blocking callers through the
-  // batcher into a shared engine (answer cache on), with the server torn
-  // down and rebuilt every round so TSan sees the full construct/serve/
+  // serving workers into a shared engine (answer cache on), with the server
+  // torn down and rebuilt every round so TSan sees the full construct/serve/
   // destruct edge set against live engine state.
   core::OnlineInference::Options options =
       experiment().kbqa().options().online;
@@ -486,9 +494,10 @@ TEST_F(RaceStressSystemTest, LiveEngineAnswerAllAcrossMutationsAndSwaps) {
 
 TEST_F(RaceStressSystemTest, ServeLiveEngineWideEventsExactlyOnceAcrossSwaps) {
   // The wide-event exactly-once invariant must survive snapshot swaps:
-  // submitters race the batcher and a mutator forcing merges underneath
-  // the serving engine, and every submission still resolves to exactly
-  // one wide event, each stamped with a kb_epoch the KB actually reached.
+  // submitters race the serving workers and a mutator forcing merges
+  // underneath the serving engine, and every submission still resolves to
+  // exactly one wide event, each stamped with a kb_epoch the KB actually
+  // reached.
   const std::string path = ::testing::TempDir() + "/race_serve_kb.bin";
   ASSERT_TRUE(experiment().world().kb.Save(path).ok());
   auto loaded = rdf::KnowledgeBase::Load(path);
@@ -517,6 +526,11 @@ TEST_F(RaceStressSystemTest, ServeLiveEngineWideEventsExactlyOnceAcrossSwaps) {
         live.ForceMerge();
       }
     });
+    // Submit only once the first merge has landed, so serving overlaps
+    // snapshot swaps however the threads happen to be scheduled.
+    for (int spin = 0; spin < 10000 && live.epoch() == 0; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     std::vector<std::thread> submitters;
     for (int t = 0; t < 3; ++t) {
       submitters.emplace_back([&] {

@@ -113,13 +113,6 @@ struct Collector {
   }
 };
 
-void WaitForQueueDrained(Server& server) {
-  for (int spin = 0; spin < 10000 && server.stats().queue_depth > 0;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
 TEST(ServeTest, AnswerRoundTripsThroughHandler) {
   ServingOptions options;
   options.num_workers = 2;
@@ -151,32 +144,29 @@ TEST(ServeTest, SaturatedQueueRejectsAtAdmissionNotEnqueueThenExpire) {
   Server server(gate.AsHandler(), options);
   Collector accepted;
 
-  // R0 occupies the worker (handler gated). The batcher pops it
-  // immediately, so wait until it is *out* of the queue.
+  // R0 occupies the worker (handler gated): wait until the worker has
+  // taken it *out* of the queue.
   ASSERT_TRUE(server.Submit("r0", accepted.Add()).ok());
   while (gate.entered.load() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // R1 gets popped by the batcher too (it parks waiting for an in-flight
-  // slot); wait for the pop so R2+R3 deterministically fill the queue.
+  // With the only worker busy, R1+R2 stay queued and fill it.
   ASSERT_TRUE(server.Submit("r1", accepted.Add()).ok());
-  WaitForQueueDrained(server);
   ASSERT_TRUE(server.Submit("r2", accepted.Add()).ok());
-  ASSERT_TRUE(server.Submit("r3", accepted.Add()).ok());
   ASSERT_EQ(server.stats().queue_depth, 2u);
 
-  // Queue full: R4 must be rejected *now*, with kUnavailable, and its
+  // Queue full: R3 must be rejected *now*, with kUnavailable, and its
   // callback must never run.
   std::atomic<bool> rejected_callback_ran{false};
   Status rejected = server.Submit(
-      "r4", [&](ServeResponse) { rejected_callback_ran = true; });
+      "r3", [&](ServeResponse) { rejected_callback_ran = true; });
   EXPECT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.code(), StatusCode::kUnavailable);
   EXPECT_EQ(server.stats().rejected, 1u);
 
   gate.Open();
-  accepted.WaitForCount(4);
-  ASSERT_EQ(accepted.Count(), 4u);
+  accepted.WaitForCount(3);
+  ASSERT_EQ(accepted.Count(), 3u);
   {
     MutexLock lock(accepted.mu);
     for (const ServeResponse& response : accepted.responses) {
@@ -188,7 +178,7 @@ TEST(ServeTest, SaturatedQueueRejectsAtAdmissionNotEnqueueThenExpire) {
   }
   EXPECT_FALSE(rejected_callback_ran.load());
   const ServingStats stats = server.stats();
-  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.shed_expired, 0u);
 }
 
@@ -206,8 +196,8 @@ TEST(ServeTest, ExpiredInQueueIsShedWithoutInvokingHandler) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // R1 and R2 with deadlines that lapse while they wait behind R0 (the
-  // dispatcher sheds expired requests even while stalled on an in-flight
-  // slot, so these resolve without the gate opening).
+  // reaper sheds queued requests as their deadline passes, so these
+  // resolve without the gate opening).
   core::AnswerOptions expired;
   expired.deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
@@ -276,7 +266,7 @@ void WaitForEntered(const GatedHandler& gate, int n) {
 }
 
 TEST(ServeTest, LoneRequestsDispatchAtOnceOnIdleSlots) {
-  // Work-conserving: with a slot idle, a request is dispatched alone
+  // Work-conserving: with a worker idle, a request is served alone
   // rather than held back for company that may never come.
   GatedHandler gate;
   ServingOptions options;
@@ -288,7 +278,7 @@ TEST(ServeTest, LoneRequestsDispatchAtOnceOnIdleSlots) {
   ASSERT_TRUE(server.Submit("r0", collector.Add()).ok());
   WaitForEntered(gate, 1);
   const int entered_after_r0 = gate.entered.load();
-  // r0 holds one slot; the other is idle, so r1 goes straight in too.
+  // r0 holds one worker; the other is idle, so r1 goes straight in too.
   ASSERT_TRUE(server.Submit("r1", collector.Add()).ok());
   WaitForEntered(gate, 2);
   const int entered_after_r1 = gate.entered.load();
@@ -310,9 +300,9 @@ TEST(ServeTest, LoneRequestsDispatchAtOnceOnIdleSlots) {
 
 TEST(ServeTest, DeadlineClosesAnUnderFullBatchBehindBusySlots) {
   // The max_batch_size = 8 twin of ExpiredInQueueIsShedWithoutInvoking-
-  // Handler: r1 and r2 queue behind a gated r0 in a batch that is neither
-  // full nor offered a free slot. Their deadline must close it, so they
-  // are shed on time instead of when r0's slot frees.
+  // Handler: r1 and r2 queue behind a gated r0, too few to fill a batch,
+  // with no worker free to take them. Their deadline must shed them on
+  // time instead of when r0's worker frees.
   GatedHandler gate;
   ServingOptions options;
   options.num_workers = 1;
@@ -354,9 +344,9 @@ TEST(ServeTest, DeadlineClosesAnUnderFullBatchBehindBusySlots) {
 }
 
 TEST(ServeTest, EarlierDeadlineArrivingLaterStillShedsOnTime) {
-  // r1 has no deadline, so the batcher holding {r1} behind a gated r0
+  // r1 has no deadline, so with {r1} queued behind a gated r0 the reaper
   // waits with no timeout. r2's deadline arrives later but must re-aim
-  // that wait: r2 is shed on time, r1 is served once the slot frees.
+  // that wait: r2 is shed on time, r1 is served once the worker frees.
   GatedHandler gate;
   ServingOptions options;
   options.num_workers = 1;
@@ -367,9 +357,9 @@ TEST(ServeTest, EarlierDeadlineArrivingLaterStillShedsOnTime) {
   ASSERT_TRUE(server.Submit("r0", collector.Add()).ok());
   WaitForEntered(gate, 1);
   ASSERT_TRUE(server.Submit("r1", collector.Add()).ok());
-  // Let the batcher park on {r1} first. The outcome does not depend on
-  // this sleep; it only makes the test see the re-aim rather than a
-  // batcher that wakes once to find both requests queued.
+  // Let the reaper park with {r1} queued first. The outcome does not
+  // depend on this sleep; it only makes the test see the re-aim rather
+  // than a reaper that wakes once to find both requests queued.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   core::AnswerOptions expiring;
   expiring.deadline =
@@ -390,6 +380,48 @@ TEST(ServeTest, EarlierDeadlineArrivingLaterStillShedsOnTime) {
   }
   EXPECT_EQ(server.stats().shed_expired, 1u);
   EXPECT_EQ(server.stats().completed, 2u);
+}
+
+TEST(ServeTest, RequestsWaitingBehindBusyWorkersStayUnderAdmissionControl) {
+  // Only an idle worker takes requests off the queue, so everything behind
+  // a busy worker stays queued: it counts toward queue_depth, and
+  // admission control rejects against it. Shedding r1 on its deadline
+  // frees exactly one place.
+  GatedHandler gate;
+  ServingOptions options;
+  options.num_workers = 1;
+  options.max_batch_size = 8;
+  options.max_queue_depth = 4;
+  Server server(gate.AsHandler(), options);
+  Collector collector;
+
+  ASSERT_TRUE(server.Submit("r0", collector.Add()).ok());
+  WaitForEntered(gate, 1);
+  core::AnswerOptions expiring;
+  expiring.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+  ASSERT_TRUE(server.Submit("r1", expiring, collector.Add()).ok());
+  for (int i = 2; i <= 4; ++i) {
+    ASSERT_TRUE(server.Submit("r" + std::to_string(i), collector.Add()).ok());
+  }
+  collector.WaitForCount(1);  // r1 shed while r0 is still gated
+  ASSERT_EQ(collector.Count(), 1u);
+  EXPECT_EQ(server.stats().queue_depth, 3u);
+
+  int admitted = 0;
+  for (int i = 5; i <= 8; ++i) {
+    if (server.Submit("r" + std::to_string(i), collector.Add()).ok()) {
+      ++admitted;
+    }
+  }
+  EXPECT_EQ(admitted, 1);
+  EXPECT_EQ(server.stats().rejected, 3u);
+
+  gate.Open();
+  collector.WaitForCount(6);
+  ASSERT_EQ(collector.Count(), 6u);  // r0, shed r1, r2-r4, one of r5-r8
+  EXPECT_EQ(server.stats().completed, 5u);
+  EXPECT_EQ(server.stats().shed_expired, 1u);
 }
 
 TEST(ServeTest, DefaultTimeoutBecomesRequestDeadline) {
@@ -467,15 +499,13 @@ TEST(ServeTest, SubmitAfterShutdownStartsIsRejected) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_TRUE(server.Submit("r1", collector.Add()).ok());
-  WaitForQueueDrained(server);
-  ASSERT_TRUE(server.Submit("r2", collector.Add()).ok());
-  // Queue (depth 1) holds r2: a blocking Answer must come back rejected,
+  // Queue (depth 1) holds r1: a blocking Answer must come back rejected,
   // not deadlock waiting behind a full queue.
-  ServeResponse rejected = server.Answer("r3");
+  ServeResponse rejected = server.Answer("r2");
   EXPECT_EQ(rejected.result.status.code(), StatusCode::kUnavailable);
   gate.Open();
-  collector.WaitForCount(3);
-  EXPECT_EQ(collector.Count(), 3u);
+  collector.WaitForCount(2);
+  EXPECT_EQ(collector.Count(), 2u);
 }
 
 // ---------- Wide events (DESIGN.md §8) ----------
@@ -554,7 +584,7 @@ TEST(WideEventServeTest, InQueueShedCarriesQueueWaitAndZeroStages) {
     expired.deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
     ASSERT_TRUE(server.Submit("r1", expired, collector.Add()).ok());
-    collector.WaitForCount(2);
+    collector.WaitForCount(1);  // r1 shed while r0 is still gated
     gate.Open();
     collector.WaitForCount(2);
   }
@@ -594,18 +624,16 @@ TEST(WideEventServeTest, AdmissionRejectionEmitsRejectedEvent) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     ASSERT_TRUE(server.Submit("r1", collector.Add()).ok());
-    WaitForQueueDrained(server);
-    ASSERT_TRUE(server.Submit("r2", collector.Add()).ok());
     const Status rejected = server.Submit(
         "overflow", [&](ServeResponse) { rejected_callback_ran = true; });
     ASSERT_EQ(rejected.code(), StatusCode::kUnavailable);
     gate.Open();
-    collector.WaitForCount(3);
+    collector.WaitForCount(2);
   }
   EXPECT_FALSE(rejected_callback_ran.load());
   const std::vector<obs::WideEvent> events = obs::WideEvents::Drain();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(CountOutcome(events, obs::WideOutcome::kAnswered), 3u);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(CountOutcome(events, obs::WideOutcome::kAnswered), 2u);
   ASSERT_EQ(CountOutcome(events, obs::WideOutcome::kRejected), 1u);
   for (const obs::WideEvent& e : events) {
     if (e.outcome != obs::WideOutcome::kRejected) continue;
@@ -691,7 +719,7 @@ TEST(SloServeTest, TerminalOutcomesFeedTheSloMonitorUnsampled) {
     expired.deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
     ASSERT_TRUE(server.Submit("r1", expired, collector.Add()).ok());
-    collector.WaitForCount(2);  // r1 shed while r0 is still gated
+    collector.WaitForCount(1);  // r1 shed while r0 is still gated
     gate.Open();
     collector.WaitForCount(2);
   }
