@@ -12,6 +12,7 @@
 
 #include "eval/experiment.h"
 #include "eval/runner.h"
+#include "obs/obs.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
 
@@ -76,7 +77,8 @@ inline std::unique_ptr<eval::Experiment> BuildStandardExperiment() {
   std::printf("[setup] generating world + corpus and training KBQA...\n");
   // Setup time also lands in the registry, so a post-run metrics dump
   // shows how long the world build took relative to the measured phase.
-  ScopedTimer timer("bench.setup.build_experiment_ns");
+  KBQA_TRACE_SPAN("bench.setup.build_experiment");
+  Timer timer;
   auto built = eval::Experiment::Build(eval::ExperimentConfig::Standard());
   if (!built.ok()) {
     std::fprintf(stderr, "experiment build failed: %s\n",

@@ -4,8 +4,7 @@
 // coverage: the online.stage.* histograms the served requests of the
 // wide-event A/B fed, then value cache hit/miss, EM iteration stats and
 // thread-pool task latencies after a batched benchmark run, all non-zero;
-// (3) trace collection + Chrome trace export over that batched run's pool
-// tasks; (4) the snapshot JSON round-trip at full-registry scale. Emits
+// (3) the snapshot JSON round-trip at full-registry scale. Emits
 // BENCH_observability.json.
 //
 // The runtime-disabled arm is a proxy for the compile-out build
@@ -18,7 +17,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -46,10 +44,6 @@ void Check(bool ok, const char* what) {
 double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
-}
-
-double Min(const std::vector<double>& v) {
-  return *std::min_element(v.begin(), v.end());
 }
 
 /// One timed arm: a single sweep over the questions, returning ns per
@@ -295,13 +289,11 @@ int main() {
       "baseline -> %.2f%% with a bound RequestContext\n",
       ctx_med_diff, ctx_base_ns, ctx_overhead_pct);
 
-  // ---- Metric coverage after a batched run, traced ----
+  // ---- Metric coverage after a batched run ----
   // The answer path is timed by the stage clock above; the spans left are
-  // the offline phases' and the pool's, so the trace covers the batched
-  // run's thread_pool.task shards.
-  obs::Tracing::Start();
+  // the offline phases' and the pool's (the batched run's thread_pool.task
+  // shards).
   eval::RunResult run = eval::RunBenchmarkBatched(kbqa, set, 4);
-  obs::Tracing::Stop();
   std::printf("[batched] %zu questions, R %.2f, %.1f ms total\n",
               static_cast<size_t>(run.counts.total), run.counts.R(),
               run.total_ms);
@@ -339,18 +331,6 @@ int main() {
   Check(obs::MetricsSnapshot::FromJson(snap.ToJson(), &parsed) &&
             parsed == snap,
         "snapshot JSON round-trip");
-
-  // ---- Chrome export of the batched run's trace ----
-  const size_t trace_events = obs::Tracing::CollectedEvents();
-  Check(trace_events > 0, "trace captured thread_pool.task spans");
-  const char* trace_path = "/tmp/obs_trace.json";
-  {
-    std::ofstream trace(trace_path);
-    obs::Tracing::ExportChromeTrace(trace);
-    Check(trace.good(), "trace export wrote");
-  }
-  std::printf("[trace] %zu events from the batched run -> %s\n",
-              trace_events, trace_path);
 
   eval::PrintObservabilityReport(std::cout);
 
@@ -420,11 +400,10 @@ int main() {
                static_cast<unsigned long long>(
                    counter_value("thread_pool.tasks")));
   std::fprintf(out,
-               "  \"trace\": {\"events\": %zu},\n"
                "  \"snapshot_json_round_trip\": true,\n"
                "  \"batched_run\": {\"questions\": %zu, \"recall\": %.3f}\n"
                "}\n",
-               trace_events, static_cast<size_t>(run.counts.total),
+               static_cast<size_t>(run.counts.total),
                run.counts.R());
   std::fclose(out);
   std::printf("[done] wrote BENCH_observability.json\n");

@@ -34,6 +34,7 @@
 #include "corpus/qa_generator.h"
 #include "eval/experiment.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "obs/slo.h"
 #include "obs/wide_event.h"
 #include "serve/exposition.h"
@@ -323,7 +324,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<eval::Experiment> experiment;
   {
     std::printf("[setup] generating world + corpus and training KBQA...\n");
-    ScopedTimer timer("bench.setup.build_experiment_ns");
+    KBQA_TRACE_SPAN("bench.setup.build_experiment");
+    Timer timer;
     auto built = eval::Experiment::Build(args.smoke
                                              ? eval::ExperimentConfig::Small()
                                              : eval::ExperimentConfig::Standard());

@@ -28,6 +28,11 @@ Static checks that encode repository conventions the compiler can't:
                 std::ofstream, no write-mode fopen, no open() with
                 O_WRONLY / O_RDWR / O_CREAT anywhere else, so every
                 artifact and export is crash-safe by construction.
+  one-clock     Library code (src/) reads time from std::chrono::steady_clock
+                only (obs::NowSteadyNs, util Timer): no __rdtsc, no
+                <x86intrin.h>, no system_clock or high_resolution_clock,
+                so every duration the obs layer records or sums comes from
+                one monotonic clock in nanoseconds with no calibration.
   fuzz-registry Every public parse/decode entry point in src/**/*.h (any
                 declaration matching (Parse|Decode|Import|Load|Open|
                 Unescape)*) is claimed by fuzz/registry.json, and every
@@ -219,6 +224,18 @@ def check_raw_file_write(path, raw_lines, stripped_lines, findings):
                 "raw file write in library code; write through "
                 "util::WriteFileAtomically so a crash mid-write never "
                 "leaves a torn file"))
+
+
+ONE_CLOCK_PATTERN = (
+    r"\b__rdtsc\b|x86intrin\.h|\bsystem_clock\b|\bhigh_resolution_clock\b"
+)
+
+
+def check_one_clock(path, raw_lines, stripped_lines, findings):
+    grep_rule(path, raw_lines, stripped_lines, ONE_CLOCK_PATTERN, "one-clock",
+              "library code times with std::chrono::steady_clock only "
+              "(obs::NowSteadyNs); a second clock cannot be compared with "
+              "or summed into the first", findings)
 
 
 METRIC_CALL_RE = re.compile(
@@ -435,6 +452,7 @@ def main():
             check_naked_new(path, raw_lines, stripped_lines, findings)
             check_cout(path, raw_lines, stripped_lines, findings)
             check_raw_file_write(path, raw_lines, stripped_lines, findings)
+            check_one_clock(path, raw_lines, stripped_lines, findings)
 
     compiler = None if args.no_compile else find_compiler()
     if not args.no_compile and compiler is None:

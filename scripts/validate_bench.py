@@ -162,7 +162,7 @@ def check_overhead(name, section):
 
 def validate_observability(doc):
     for key in ("hardware_threads", "answer_overhead", "wide_event_overhead",
-                "context_propagation", "coverage", "trace",
+                "context_propagation", "coverage",
                 "snapshot_json_round_trip", "batched_run"):
         require(key in doc, f"top-level {key} missing")
 

@@ -197,8 +197,10 @@ const std::vector<rdf::TermId>& OnlineInference::CachedObjects(
   const uint64_t miss_begin = ctx != nullptr ? obs::NowSteadyNs() : 0;
   LookupValues(view, entity, path, scratch);
   // Insert copies the value set; concurrent misses on the same key both
-  // computed identical vectors from the immutable KB, and the cache keeps
-  // whichever landed first.
+  // computed identical vectors from the immutable KB, and the later insert
+  // replaces the earlier one. At a full budget the second insert reserves
+  // its charge before releasing the first, so it may evict an unrelated
+  // entry.
   tally->evictions += value_cache_.Insert(
       key, *scratch, scratch->size() * sizeof(rdf::TermId));
   if (ctx != nullptr) {

@@ -209,7 +209,7 @@ class OnlineInference {
                                       int num_threads) const;
 
   /// One question through the whole-question memo cache (when enabled) —
-  /// the per-request unit AnswerAll shards and the serving batcher both
+  /// the per-request unit AnswerAll shards and the serving workers both
   /// route through. The cache key is NormalizeText(question), so casing /
   /// whitespace / punctuation paraphrases of one canonical question share
   /// an entry (they tokenize identically, hence answer identically). Only

@@ -116,7 +116,7 @@ void EvaluationReport::Print(std::ostream& os) const {
 
 void PrintObservabilityReport(std::ostream& os, size_t top_spans) {
   obs::RenderMetricsTable(obs::MetricsRegistry::Global().Snapshot(), os);
-  obs::Tracing::WriteSpanSummary(os, top_spans);
+  obs::WriteSpanSummary(os, top_spans);
 }
 
 }  // namespace kbqa::eval

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -13,13 +14,6 @@
 
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-
-#if defined(__x86_64__) || defined(_M_X64)
-#include <x86intrin.h>
-#define KBQA_OBS_HAS_TSC 1
-#else
-#include <chrono>
-#endif
 
 namespace kbqa::obs {
 
@@ -90,26 +84,14 @@ inline bool Enabled() {
   }
 }
 
-/// Monotonic fine-grained tick source for latency spans. On x86-64 this
-/// is rdtsc (~7ns, an order of magnitude cheaper than a clock syscall);
-/// elsewhere it falls back to steady_clock nanoseconds.
-inline uint64_t NowTicks() {
-#ifdef KBQA_OBS_HAS_TSC
-  return __rdtsc();
-#else
+/// Steady-clock nanoseconds: the one clock every obs timer reads (spans,
+/// the request stage clock, the server's queue/service accounting), so
+/// durations from different layers compare and sum exactly.
+inline uint64_t NowSteadyNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-#endif
-}
-
-/// Nanoseconds per tick. Calibrated once against steady_clock over a ~2ms
-/// window on first use (x86); exactly 1.0 on the fallback path.
-double NanosPerTick();
-
-inline uint64_t TicksToNanos(uint64_t ticks) {
-  return static_cast<uint64_t>(static_cast<double>(ticks) * NanosPerTick());
 }
 
 /// The sharded-cell primitive shared by registered counters and

@@ -47,10 +47,10 @@
     kbqa_obs_histogram->Record(static_cast<uint64_t>(v));                \
   } while (0)
 
-/// Scoped trace span: records elapsed ns into histogram "span.<name>" on
-/// scope exit and emits a trace event while Tracing is active. Use for
-/// coarse offline stages (EM iterations, BFS rounds, pool tasks); the
-/// answer path is timed by obs::RequestContext instead.
+/// Scoped span: records the scope's elapsed steady-clock ns into histogram
+/// "span.<name>" on exit. Use for coarse offline stages (EM iterations, BFS
+/// rounds, pool tasks); the answer path is timed by obs::RequestContext
+/// instead.
 #define KBQA_TRACE_SPAN(name)                                            \
   static const ::kbqa::obs::SpanSite KBQA_OBS_CONCAT(kbqa_obs_site_,     \
                                                      __LINE__){name};    \

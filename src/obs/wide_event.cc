@@ -25,11 +25,12 @@ constexpr const char* kOutcomeNames[kWideOutcomeCount] = {
 // ---- ring slot packing -------------------------------------------------
 //
 // A WideEvent flattens into a fixed array of uint64 words so a ring slot
-// can be per-field atomic (the same torn-row-tolerant discipline as the
-// trace ring, see trace.cc). Word 0 is the slot's sequence tag: the
-// monotone event index + 1, written before the payload; a reader that
-// copies a slot and then sees a different tag knows the writer lapped it
-// mid-copy and skips the row.
+// can be per-field atomic. Word 0 is the slot's sequence tag: the monotone
+// event index + 1, stored before the payload. Each payload word is stored
+// with release and loaded with acquire, so a reader whose copy picked up
+// any word of a lapping write is guaranteed to see that write's new tag
+// when it re-reads the tag after the copy (ReadRow); a row whose tag is
+// not index + 1 on both reads is rejected, never returned torn.
 
 constexpr size_t kSlotWords = 24;
 
@@ -88,7 +89,7 @@ WideEvent DecodeEvent(const uint64_t (&w)[kSlotWords]) {
   e.trace_id = w[kWordTraceId];
   e.admit_ns = w[kWordAdmitNs];
   uint64_t outcome = w[kWordFlags] & 0xff;
-  if (outcome >= kWideOutcomeCount) outcome = 0;  // torn row tolerated
+  if (outcome >= kWideOutcomeCount) outcome = 0;  // never index past names
   e.outcome = static_cast<WideOutcome>(outcome);
   e.has_deadline = ((w[kWordFlags] >> 8) & 1) != 0;
   e.batch_size = static_cast<uint32_t>(w[kWordSizes]);
@@ -165,15 +166,20 @@ EventRing* LocalRing() {
 }
 
 /// Copies one published row out of `ring`. Returns false when the writer
-/// lapped the row mid-copy (sequence tag mismatch).
+/// lapped the row before or during the copy: the sequence tag, read before
+/// and again after the payload, must be index + 1 both times.
 bool ReadRow(const EventRing& ring, uint64_t index, WideEvent* out) {
   const EventSlot& slot =
       ring.slots[static_cast<size_t>(index % WideEvents::kRingCapacity)];
   uint64_t words[kSlotWords];
-  for (size_t i = 0; i < kSlotWords; ++i) {
-    words[i] = slot.words[i].load(std::memory_order_relaxed);
-  }
+  words[kWordSeq] = slot.words[kWordSeq].load(std::memory_order_acquire);
   if (words[kWordSeq] != index + 1) return false;
+  for (size_t i = kWordSeq + 1; i < kSlotWords; ++i) {
+    words[i] = slot.words[i].load(std::memory_order_acquire);
+  }
+  if (slot.words[kWordSeq].load(std::memory_order_relaxed) != index + 1) {
+    return false;
+  }
   *out = DecodeEvent(words);
   return true;
 }
@@ -272,13 +278,14 @@ void WideEvents::Record(const WideEvent& event) {
   const uint64_t index = ring->count.load(std::memory_order_relaxed);
   EventSlot& slot = ring->slots[static_cast<size_t>(index % kRingCapacity)];
   uint64_t words[kSlotWords];
-  words[kWordSeq] = index + 1;
   EncodeEvent(event, words);
-  // Sequence tag first so a concurrent reader holding the old tag notices
-  // the lap; payload next; then the release publish of count makes the
-  // whole row visible to rows-below-count readers.
-  for (size_t i = 0; i < kSlotWords; ++i) {
-    slot.words[i].store(words[i], std::memory_order_relaxed);
+  // Sequence tag first; each release store of the payload orders the tag
+  // before it, so a reader that sees any new payload word also sees the new
+  // tag on its re-read and rejects the lapped row. The release publish of
+  // count then makes the whole row visible to rows-below-count readers.
+  slot.words[kWordSeq].store(index + 1, std::memory_order_relaxed);
+  for (size_t i = kWordSeq + 1; i < kSlotWords; ++i) {
+    slot.words[i].store(words[i], std::memory_order_release);
   }
   ring->count.store(index + 1, std::memory_order_release);
   Sink().total_recorded.fetch_add(1, std::memory_order_relaxed);
@@ -291,15 +298,19 @@ std::vector<WideEvent> WideEvents::Drain() {
   for (auto& ring_ptr : sink.rings) {
     EventRing& ring = *ring_ptr;
     const uint64_t count = ring.count.load(std::memory_order_acquire);
-    uint64_t from = ring.drained;
-    const uint64_t base = RingBase(count);
-    if (base > from) {
-      sink.dropped.fetch_add(base - from, std::memory_order_relaxed);
-      from = base;
-    }
+    const uint64_t from = std::max(ring.drained, RingBase(count));
+    // Rows overwritten before this drain, plus rows lapped while it copied.
+    uint64_t dropped = from - ring.drained;
     for (uint64_t i = from; i < count; ++i) {
       WideEvent event;
-      if (ReadRow(ring, i, &event)) out.push_back(event);
+      if (ReadRow(ring, i, &event)) {
+        out.push_back(event);
+      } else {
+        ++dropped;
+      }
+    }
+    if (dropped != 0) {
+      sink.dropped.fetch_add(dropped, std::memory_order_relaxed);
     }
     ring.drained = count;
   }

@@ -4,7 +4,8 @@
 /// Request-scoped wide-event telemetry (DESIGN.md §8).
 ///
 /// A `RequestContext` is created at serve::Server admission and travels by
-/// value inside the request through the batcher and into the engine
+/// value inside the request through the admission queue, into the batch a
+/// serving worker takes off it, and into the engine
 /// (`AnswerOptions::request_context`); each layer stamps disjoint stage
 /// durations and per-tier cache counters into it. When the request reaches
 /// a terminal outcome (answered, rejected, shed, deadline-exceeded) the
@@ -18,7 +19,6 @@
 /// steady_clock, the stage sum can never exceed the measured service time.
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -63,21 +63,12 @@ struct StageRecord {
   uint32_t count = 0;
 };
 
-/// Steady-clock nanoseconds (the stage clock's time base — the same clock
-/// the server uses for queue/service accounting, so cross-layer sums and
-/// comparisons are exact rather than calibration-skewed).
-inline uint64_t NowSteadyNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Per-request telemetry context. Created at admission, carried by value
 /// with the request, stamped by each layer it passes through. Not
-/// thread-safe: exactly one thread touches it at a time (submitter, then
-/// batcher, then the worker running the handler), with handoffs ordered
-/// by the queue/pool synchronization.
+/// thread-safe: exactly one thread touches it at a time (the submitter,
+/// then whichever thread takes it off the queue: a serving worker, which
+/// runs the handler or sheds it, or the reaper, which sheds it), with
+/// handoffs ordered by the queue mutex.
 struct RequestContext {
   uint64_t trace_id = 0;
   uint64_t admit_ns = 0;   // NowSteadyNs() at admission
@@ -141,13 +132,13 @@ struct WideEvent {
   bool has_deadline = false;
   uint32_t batch_size = 0;
   uint32_t question_bytes = 0;
-  uint64_t queue_wait_ns = 0;  // admission -> batch dispatch
-  uint64_t batch_wait_ns = 0;  // batch dispatch -> handler start
+  uint64_t queue_wait_ns = 0;  // admission -> a worker takes its batch
+  uint64_t batch_wait_ns = 0;  // batch taken -> its own handler starts
   uint64_t service_ns = 0;     // handler start -> handler return
   uint64_t total_ns = 0;       // admission -> terminal resolution
-  /// Deadline budget remaining at the decision point (dispatch for served
-  /// requests, shed time for sheds); negative when already expired. 0 when
-  /// `has_deadline` is false.
+  /// Deadline budget remaining at the decision point (when a worker took
+  /// the batch, for served requests; shed time for sheds); negative when
+  /// already expired. 0 when `has_deadline` is false.
   int64_t deadline_budget_ns = 0;
 
   StageRecord stages[kWideStageCount] = {};
@@ -178,10 +169,11 @@ struct WideEvent {
 };
 
 /// Process-wide wide-event sink: per-thread rings of per-field-atomic
-/// slots (same discipline as the trace ring — owning thread writes fields
-/// relaxed then release-publishes a monotone count; readers acquire the
-/// count and skip rows whose sequence tag shows the writer lapped them).
-/// All methods are static; state is a leaked singleton.
+/// slots. The owning thread stores a slot's sequence tag, then its payload,
+/// then release-publishes a monotone count; readers acquire the count and
+/// reject any row whose tag, read before and after the payload copy, shows
+/// the writer lapped it. All methods are static; state is a leaked
+/// singleton.
 class WideEvents {
  public:
   /// Events a single thread's ring retains before overwriting the oldest.
@@ -192,12 +184,14 @@ class WideEvents {
 
   /// Consumes every event recorded since the previous Drain, across all
   /// threads, ordered by admission time. Overwritten (never-drained)
-  /// events are counted in Dropped().
+  /// events, including rows lapped while this drain copied them, are
+  /// counted in Dropped(), so once recording stops every recorded event
+  /// has been drained or dropped exactly once.
   static std::vector<WideEvent> Drain();
 
   /// Non-consuming view of the most recent events (up to `max_events`,
-  /// newest last). Concurrent recording may tear at most one in-flight
-  /// row per thread; torn rows are skipped.
+  /// newest last). Rows a concurrent writer laps during the copy are
+  /// skipped, never returned torn.
   static std::vector<WideEvent> Recent(size_t max_events);
 
   /// Total events ever recorded / dropped before a drain reached them.

@@ -62,8 +62,8 @@ class CondVar {
   /// As Wait, but gives up once `deadline` passes. Returns false on
   /// timeout, true on a notification (or spurious wakeup) — either way the
   /// caller re-checks its predicate, so the return value only distinguishes
-  /// "the clock ran out" for callers pacing work (e.g. a batcher's
-  /// max-wait window).
+  /// "the clock ran out" for callers pacing work (e.g. the serving
+  /// reaper sleeping until the earliest queued deadline).
   bool WaitUntil(Mutex& mu,
                  std::chrono::steady_clock::time_point deadline) REQUIRES(mu) {
     return cv_.wait_until(mu, deadline) != std::cv_status::timeout;

@@ -3,9 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-
-#include "obs/metrics.h"
 
 namespace kbqa {
 
@@ -31,43 +28,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// RAII phase timer: reports the scope's elapsed nanoseconds into a
-/// registry histogram on destruction, optionally printing a "[label]
-/// 12.3s" line as well. The coarse (steady_clock, multi-millisecond)
-/// sibling of KBQA_TRACE_SPAN — use it for offline phases and bench
-/// setup, where a name lookup per scope is noise.
-class ScopedTimer {
- public:
-  /// Reports into Global()'s histogram `histogram_name`.
-  explicit ScopedTimer(const char* histogram_name,
-                       const char* print_label = nullptr)
-      : histogram_(obs::MetricsRegistry::Global().GetHistogram(
-            histogram_name)),
-        label_(print_label) {}
-  /// Reports into an explicit histogram (tests with private registries).
-  explicit ScopedTimer(obs::Histogram* histogram,
-                       const char* print_label = nullptr)
-      : histogram_(histogram), label_(print_label) {}
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  double ElapsedSeconds() const { return timer_.ElapsedSeconds(); }
-
-  ~ScopedTimer() {
-    const double seconds = timer_.ElapsedSeconds();
-    if (histogram_ != nullptr) {
-      histogram_->Record(static_cast<uint64_t>(seconds * 1e9));
-    }
-    if (label_ != nullptr) std::printf("[%s] %.2fs\n", label_, seconds);
-  }
-
- private:
-  Timer timer_;
-  obs::Histogram* histogram_;
-  const char* label_;
 };
 
 }  // namespace kbqa

@@ -2,17 +2,18 @@
 // under ThreadSanitizer (cmake -DTSAN=ON; scripts/check.sh --tsan). The
 // assertions matter in every configuration, but the real gate is TSan
 // proving the synchronization: each test drives genuinely concurrent
-// access — pool scheduling, sharded LRU mutation, metric shards, trace
+// access — pool scheduling, sharded LRU mutation, metric shards, wide-event
 // rings, one engine answering from many threads, parallel Freeze/Build —
 // so a missing happens-before edge anywhere in those paths becomes a CI
 // failure instead of a corrupted answer in production.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,8 +23,6 @@
 #include "corpus/qa_generator.h"
 #include "eval/experiment.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
-#include "obs/trace.h"
 #include "obs/wide_event.h"
 #include "core/live_engine.h"
 #include "rdf/expanded_predicate.h"
@@ -120,7 +119,7 @@ TEST(RaceStressTest, LruCacheConcurrentMixedOperations) {
   EXPECT_GT(hits.load(), 0u);
 }
 
-// ---------- MetricsRegistry / trace rings ----------
+// ---------- MetricsRegistry ----------
 
 TEST(RaceStressTest, MetricsConcurrentUpdatesAndSnapshots) {
   obs::MetricsRegistry registry;
@@ -155,35 +154,107 @@ TEST(RaceStressTest, MetricsConcurrentUpdatesAndSnapshots) {
   EXPECT_EQ(histogram->Count(), 4u * 10000u);
 }
 
-void RecordOneSpan() {
-  KBQA_TRACE_SPAN("race.span");
+// ---------- Wide-event ring ----------
+
+// An event whose every field is derived from k alone, so a row that mixes
+// two events shows up as a field that disagrees with trace_id.
+obs::WideEvent UniformEvent(uint64_t k) {
+  obs::WideEvent e;
+  const auto k32 = static_cast<uint32_t>(k);
+  e.trace_id = k;
+  e.admit_ns = k;
+  e.outcome = static_cast<obs::WideOutcome>(k % obs::kWideOutcomeCount);
+  e.has_deadline = (k & 1) != 0;
+  e.batch_size = k32;
+  e.question_bytes = k32;
+  e.queue_wait_ns = k;
+  e.batch_wait_ns = k;
+  e.service_ns = k;
+  e.total_ns = k;
+  e.deadline_budget_ns = static_cast<int64_t>(k);
+  for (obs::StageRecord& r : e.stages) r = {k, k32};
+  e.value_cache_hits = e.value_cache_misses = k32;
+  e.answer_cache_hits = e.answer_cache_misses = k32;
+  e.block_cache_hits = e.block_cache_misses = e.blocks_decoded = k32;
+  e.kb_epoch = k;
+  return e;
 }
 
-TEST(RaceStressTest, TraceRingsConcurrentRecordAndExport) {
-  obs::Tracing::Start();
-  std::atomic<bool> done{false};
-  // Exporting while recording is allowed to observe torn/stale rows but
-  // must be free of data races (ring slots are atomics) and well-formed.
-  std::thread exporter([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      std::ostringstream os;
-      obs::Tracing::ExportChromeTrace(os);
-      ASSERT_FALSE(os.str().empty());
-      (void)obs::Tracing::CollectedEvents();
-    }
-  });
+bool IsUniform(const obs::WideEvent& e) {
+  const obs::WideEvent want = UniformEvent(e.trace_id);
+  return e.admit_ns == want.admit_ns && e.outcome == want.outcome &&
+         e.has_deadline == want.has_deadline &&
+         e.batch_size == want.batch_size &&
+         e.question_bytes == want.question_bytes &&
+         e.queue_wait_ns == want.queue_wait_ns &&
+         e.batch_wait_ns == want.batch_wait_ns &&
+         e.service_ns == want.service_ns && e.total_ns == want.total_ns &&
+         e.deadline_budget_ns == want.deadline_budget_ns &&
+         std::equal(std::begin(e.stages), std::end(e.stages),
+                    std::begin(want.stages),
+                    [](const obs::StageRecord& a, const obs::StageRecord& b) {
+                      return a.ns == b.ns && a.count == b.count;
+                    }) &&
+         e.value_cache_hits == want.value_cache_hits &&
+         e.value_cache_misses == want.value_cache_misses &&
+         e.answer_cache_hits == want.answer_cache_hits &&
+         e.answer_cache_misses == want.answer_cache_misses &&
+         e.block_cache_hits == want.block_cache_hits &&
+         e.block_cache_misses == want.block_cache_misses &&
+         e.blocks_decoded == want.blocks_decoded &&
+         e.kb_epoch == want.kb_epoch;
+}
+
+TEST(RaceStressTest, WideEventRingReadersNeverSeeTornRows) {
+  // Writers lap their rings continuously while one reader polls Recent()
+  // and another drains: no returned row may mix two events, and every
+  // recorded event ends up either drained or counted in Dropped().
+  obs::MetricsRegistry::set_enabled(true);
+  obs::WideEvents::ResetForTest();
+  constexpr int kWriters = 2;
+  const auto stop_at =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1000);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> torn{0};
+  uint64_t drained = 0;
+
   std::vector<std::thread> writers;
-  for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([] {
-      for (int i = 0; i < 5000; ++i) RecordOneSpan();
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      uint64_t k = static_cast<uint64_t>(t) << 40;
+      while (std::chrono::steady_clock::now() < stop_at) {
+        for (int i = 0; i < 256; ++i) {
+          obs::WideEvents::Record(UniformEvent(++k));
+        }
+      }
     });
   }
+  std::thread recent_reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (const obs::WideEvent& e :
+           obs::WideEvents::Recent(obs::WideEvents::kRingCapacity)) {
+        if (!IsUniform(e)) torn.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  std::thread drain_reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (const obs::WideEvent& e : obs::WideEvents::Drain()) {
+        if (!IsUniform(e)) torn.fetch_add(1, std::memory_order_relaxed);
+        ++drained;
+      }
+    }
+  });
   for (auto& th : writers) th.join();
-  done.store(true, std::memory_order_release);
-  exporter.join();
-  obs::Tracing::Stop();
-  // Quiescent export sees every surviving event (rings hold 2^14 each).
-  EXPECT_GE(obs::Tracing::CollectedEvents(), 4u * 5000u);
+  stop.store(true, std::memory_order_release);
+  recent_reader.join();
+  drain_reader.join();
+  drained += obs::WideEvents::Drain().size();
+
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_GT(obs::WideEvents::Dropped(), 0u);  // the writers did lap
+  EXPECT_EQ(obs::WideEvents::TotalRecorded(),
+            drained + obs::WideEvents::Dropped());
 }
 
 // ---------- Parallel RDF substrate ----------
