@@ -29,6 +29,12 @@
 #                             # /slo /eventz live, schema-check a scraped
 #                             # wide event, then summarize the drained
 #                             # JSONL with scripts/trace_summarize.py
+#   scripts/check.sh --release-warnings
+#                             # build every target in build-release with
+#                             # -DCMAKE_BUILD_TYPE=Release and -Werror: -O3
+#                             # inlining surfaces warnings (-Wrestrict,
+#                             # -Wmismatched-new-delete) that the default
+#                             # RelWithDebInfo build never reports
 #   scripts/check.sh --ladder-smoke
 #                             # bit-exact answers through the serving path:
 #                             # run perfladder/run.py briefly on serve_zipf
@@ -81,6 +87,13 @@ run_tsan() {
   echo "== TSan tests =="
   TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
+}
+
+run_release_warnings() {
+  echo "== Release build, warnings as errors =="
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+  cmake --build build-release -j "$JOBS"
 }
 
 run_serve_smoke() {
@@ -189,6 +202,10 @@ case "${1:-}" in
     run_lint
     echo "== OK (lint) =="
     ;;
+  --release-warnings)
+    run_release_warnings
+    echo "== OK (release warnings) =="
+    ;;
   --serve-smoke)
     run_serve_smoke
     echo "== OK (serve smoke) =="
@@ -229,7 +246,7 @@ case "${1:-}" in
     echo "== OK =="
     ;;
   *)
-    echo "usage: scripts/check.sh [fast|--lint|--tsan|--serve-smoke|--mem-smoke|--mutation-smoke|--obs-smoke|--ladder-smoke|--fuzz-smoke]" >&2
+    echo "usage: scripts/check.sh [fast|--lint|--tsan|--release-warnings|--serve-smoke|--mem-smoke|--mutation-smoke|--obs-smoke|--ladder-smoke|--fuzz-smoke]" >&2
     exit 2
     ;;
 esac

@@ -1,5 +1,6 @@
 #include "core/kbqa_system.h"
 
+#include <string_view>
 #include <unordered_set>
 
 #include "nlp/tokenizer.h"
@@ -11,12 +12,18 @@ namespace kbqa::core {
 
 namespace {
 
-/// One arbiter definition shared by option resolution and gauge export:
-/// the decoded-block working set is the biggest lever on answer latency
-/// under pressure, so it gets twice the weight of either memo cache.
-util::MemoryBudget ArbitratedBudget(uint64_t total) {
-  return util::MemoryBudget(
-      total, {{"value_cache", 1.0}, {"answer_cache", 1.0}, {"ekb_blocks", 2.0}});
+/// The process memory budget's one split, shared by option resolution and
+/// gauge export: the decoded-block working set is the biggest lever on
+/// answer latency under pressure, so it gets half; each memo cache gets a
+/// quarter.
+struct BudgetSplit {
+  uint64_t value_cache = 0;
+  uint64_t answer_cache = 0;
+  uint64_t ekb_blocks = 0;
+};
+
+BudgetSplit SplitProcessBudget(uint64_t total) {
+  return BudgetSplit{total / 4, total / 4, total / 2};
 }
 
 }  // namespace
@@ -86,8 +93,7 @@ Status KbqaSystem::Train(const corpus::QaCorpus& corpus) {
     copt.target_block_edges = options_.compressed_block_edges;
     if (options_.process_memory_budget_bytes > 0) {
       copt.decoded_cache_budget_bytes =
-          ArbitratedBudget(options_.process_memory_budget_bytes)
-              .BudgetFor("ekb_blocks");
+          SplitProcessBudget(options_.process_memory_budget_bytes).ekb_blocks;
     }
     auto cekb = rdf::CompressedExpandedKb::FromExpanded(*ekb_, copt);
     if (!cekb.ok()) return cekb.status();
@@ -121,10 +127,10 @@ Status KbqaSystem::Train(const corpus::QaCorpus& corpus) {
 OnlineInference::Options KbqaSystem::EffectiveOnlineOptions() const {
   OnlineInference::Options online = options_.online;
   if (options_.process_memory_budget_bytes > 0) {
-    const util::MemoryBudget budget =
-        ArbitratedBudget(options_.process_memory_budget_bytes);
-    online.value_cache_budget_bytes = budget.BudgetFor("value_cache");
-    online.answer_cache_budget_bytes = budget.BudgetFor("answer_cache");
+    const BudgetSplit split =
+        SplitProcessBudget(options_.process_memory_budget_bytes);
+    online.value_cache_budget_bytes = split.value_cache;
+    online.answer_cache_budget_bytes = split.answer_cache;
   }
   return online;
 }
@@ -141,8 +147,17 @@ void KbqaSystem::PublishMemoryGauges() const {
     util::MemoryBudget::Publish("ekb_blocks", stats.decoded_cache_bytes);
     util::MemoryBudget::Publish("ekb_compressed", stats.compressed_bytes);
   }
-  if (options_.process_memory_budget_bytes > 0) {
-    ArbitratedBudget(options_.process_memory_budget_bytes).PublishBudgets();
+  const uint64_t total = options_.process_memory_budget_bytes;
+  if (total > 0) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    const auto set = [&](std::string_view gauge, uint64_t bytes) {
+      registry.GetGauge(gauge)->Set(static_cast<double>(bytes));
+    };
+    const BudgetSplit split = SplitProcessBudget(total);
+    set("mem.budget.bytes", total);
+    set("mem.value_cache.budget_bytes", split.value_cache);
+    set("mem.answer_cache.budget_bytes", split.answer_cache);
+    set("mem.ekb_blocks.budget_bytes", split.ekb_blocks);
   }
 }
 

@@ -43,11 +43,11 @@ struct KbqaOptions {
   bool use_compressed_expansion = true;
   /// Edge-count target per compressed block (Train-built substrate).
   size_t compressed_block_edges = 4096;
-  /// Single process memory budget arbitrated across the engine's caches —
-  /// value cache : answer cache : decoded expanded-KB blocks at weights
-  /// 1:1:2 via util::MemoryBudget — overriding the per-component
-  /// `*_budget_bytes` options above. 0 = no arbitration: each component's
-  /// own budget applies unchanged (0 there still means unbounded).
+  /// Single process memory budget split across the engine's caches — a
+  /// quarter each to the value and answer caches, half to the decoded
+  /// expanded-KB blocks — overriding the per-component `*_budget_bytes`
+  /// options above. 0 = no split: each component's own budget applies
+  /// unchanged (0 there still means unbounded).
   uint64_t process_memory_budget_bytes = 0;
 };
 
@@ -109,7 +109,7 @@ class KbqaSystem : public QaSystemInterface {
 
   /// Wires a live-mutation serving engine (DESIGN.md §10) over `live`
   /// from this system's trained artifacts: the taxonomy, template store,
-  /// path dictionary, alias predicates, and arbitrated online options the
+  /// path dictionary, alias predicates, and budget-split online options the
   /// frozen engine uses. `live` is typically seeded with a copy of the
   /// training world's KB — rdf::RebuildKb keeps base ids stable across
   /// merges, so the learned distributions stay valid without retraining.
@@ -153,12 +153,13 @@ class KbqaSystem : public QaSystemInterface {
 
   /// Exports current per-component memory accounting as `mem.*.bytes`
   /// gauges (value cache, answer cache, decoded blocks, compressed
-  /// payload), plus the arbitrated `mem.*.budget_bytes` when a process
-  /// budget is set. Call at scrape time; cheap.
+  /// payload), plus `mem.budget.bytes` and the split
+  /// `mem.*.budget_bytes` when a process budget is set. Call at scrape
+  /// time; cheap.
   void PublishMemoryGauges() const;
 
  private:
-  /// options_.online with the process memory budget arbitrated in (no-op
+  /// options_.online with the process memory budget split in (no-op
   /// when process_memory_budget_bytes == 0).
   OnlineInference::Options EffectiveOnlineOptions() const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <unordered_map>
+#include <utility>
 
 #include "core/em_learner.h"
 #include "nlp/tokenizer.h"
@@ -211,10 +212,6 @@ const std::vector<rdf::TermId>& OnlineInference::CachedObjects(
 
 void OnlineInference::FlushAnswerStats(const AnswerResult* result,
                                        const CacheTally& tally) const {
-  // Per-instance cache stats are unconditional: value_cache_stats() is
-  // part of the API contract, not observability.
-  if (tally.hits != 0) cache_hits_.Add(tally.hits);
-  if (tally.misses != 0) cache_misses_.Add(tally.misses);
   if (!obs::Enabled()) return;
   const OnlineCounters& c = OnlineCounters::Get();
   if (tally.hits != 0) c.cache_hits->Add(tally.hits);
@@ -229,29 +226,13 @@ void OnlineInference::FlushAnswerStats(const AnswerResult* result,
 }
 
 ValueCacheStats OnlineInference::value_cache_stats() const {
-  ValueCacheStats stats;
-  if (!options_.enable_value_cache) return stats;
-  stats.hits = cache_hits_.Value();
-  stats.misses = cache_misses_.Value();
-  const auto cache = value_cache_.GetStats();
-  stats.entries = cache.entries;
-  stats.bytes = cache.bytes;
-  stats.evictions = cache.evictions;
-  stats.budget_bytes = value_cache_.budget_bytes();
-  return stats;
+  if (!options_.enable_value_cache) return ValueCacheStats{};
+  return value_cache_.GetStats();
 }
 
 ValueCacheStats OnlineInference::answer_cache_stats() const {
-  ValueCacheStats stats;
-  if (!options_.enable_answer_cache) return stats;
-  stats.hits = answer_cache_hits_.Value();
-  stats.misses = answer_cache_misses_.Value();
-  const auto cache = answer_cache_.GetStats();
-  stats.entries = cache.entries;
-  stats.bytes = cache.bytes;
-  stats.evictions = cache.evictions;
-  stats.budget_bytes = answer_cache_.budget_bytes();
-  return stats;
+  if (!options_.enable_answer_cache) return ValueCacheStats{};
+  return answer_cache_.GetStats();
 }
 
 AnswerResult OnlineInference::Answer(const std::string& question) const {
@@ -299,11 +280,14 @@ AnswerResult OnlineInference::AnswerCached(
   // never contains a newline) so mutations invalidate by key.
   std::string key = nlp::NormalizeText(question);
   if (view.snap != nullptr) {
-    key = "v" + std::to_string(view.snap->version) + "\n" + key;
+    std::string versioned = "v";
+    versioned += std::to_string(view.snap->version);
+    versioned += '\n';
+    versioned += key;
+    key = std::move(versioned);
   }
   AnswerResult result;
   if (answer_cache_.Get(key, &result)) {
-    answer_cache_hits_.Add(1);
     KBQA_COUNTER_ADD("online.answer_cache.hits", 1);
     if (answer_options.request_context != nullptr) {
       ++answer_options.request_context->answer_cache_hits;
@@ -312,7 +296,6 @@ AnswerResult OnlineInference::AnswerCached(
   }
   result = AnswerTokensPinned(nlp::TokenizeQuestion(question),
                               answer_options, view);
-  answer_cache_misses_.Add(1);
   KBQA_COUNTER_ADD("online.answer_cache.misses", 1);
   if (answer_options.request_context != nullptr) {
     ++answer_options.request_context->answer_cache_misses;

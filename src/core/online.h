@@ -9,7 +9,6 @@
 
 #include "core/template_store.h"
 #include "nlp/ner.h"
-#include "obs/metrics.h"
 #include "obs/wide_event.h"
 #include "rdf/compressed_expanded.h"
 #include "rdf/expanded_predicate.h"
@@ -21,20 +20,10 @@
 
 namespace kbqa::core {
 
-/// Accounting for the per-instance V(e, p+) memo cache. `hits`/`misses`
-/// count CachedObjects lookups with the cache enabled; `entries` is the
-/// number of currently resident (entity, path) pairs, `bytes` their summed
-/// byte charges (key + value-vector payload), `evictions` the entries
-/// dropped so far to stay under `budget_bytes` (0 = unbounded, never
-/// evicts). With the cache disabled every field stays zero.
-struct ValueCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t entries = 0;
-  uint64_t bytes = 0;
-  uint64_t evictions = 0;
-  uint64_t budget_bytes = 0;
-};
+/// Accounting for the per-instance V(e, p+) memo cache: the cache's own
+/// books (see kbqa::CacheStats). With the cache disabled every field stays
+/// zero.
+using ValueCacheStats = CacheStats;
 
 /// Per-request controls for one Answer call. Default-constructed options
 /// reproduce the unconstrained behavior exactly.
@@ -223,11 +212,10 @@ class OnlineInference {
   /// indicator of the decomposition DP (§5.3).
   bool IsPrimitiveBfq(const std::vector<std::string>& tokens) const;
 
-  /// Hit/miss/size accounting for the value memo cache. The counters are
-  /// per-instance (sharded relaxed atomics plus the cache's own shard
-  /// books, not the global registry) so two engines — e.g. a cached and an
-  /// uncached one in a regression test — never contaminate each other's
-  /// numbers.
+  /// Hit/miss/size accounting for the value memo cache, read from the
+  /// cache's own shard books (not the global registry), so two engines —
+  /// e.g. a cached and an uncached one in a regression test — never
+  /// contaminate each other's numbers.
   ValueCacheStats value_cache_stats() const;
 
   /// Same accounting for the whole-question answer memo cache used by
@@ -235,9 +223,9 @@ class OnlineInference {
   ValueCacheStats answer_cache_stats() const;
 
  private:
-  /// Per-request cache accounting, accumulated on the stack during one
-  /// Answer/probe and flushed into the sharded counters once at the end —
-  /// the per-lookup cost is a plain increment.
+  /// Per-request value-cache accounting, accumulated on the stack during
+  /// one Answer/probe and flushed once at the end into the registry and
+  /// the request context — the per-lookup cost is a plain increment.
   struct CacheTally {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -283,9 +271,9 @@ class OnlineInference {
                                 const AnswerOptions& answer_options,
                                 CacheTally* tally, const PinnedKb& view) const;
 
-  /// Folds one request's tally into the per-instance cache stats and, when
-  /// instrumentation is on, mirrors it plus the per-answer stage counts
-  /// into the global registry. `result` is null for IsPrimitiveBfq probes.
+  /// When instrumentation is on, adds one request's tally plus the
+  /// per-answer stage counts to the global registry. `result` is null for
+  /// IsPrimitiveBfq probes.
   void FlushAnswerStats(const AnswerResult* result,
                         const CacheTally& tally) const;
 
@@ -309,8 +297,6 @@ class OnlineInference {
   /// Keyed by (KB version, entity « 32 | path) — see ValueCacheKey.
   mutable ShardedLruCache<ValueCacheKey, std::vector<rdf::TermId>>
       value_cache_;
-  mutable obs::ShardedCounter cache_hits_;
-  mutable obs::ShardedCounter cache_misses_;
 
   /// Whole-question memo for AnswerAll/AnswerCached: normalized question
   /// text (NormalizeText) → full AnswerResult, so surface paraphrases that
@@ -318,8 +304,6 @@ class OnlineInference {
   /// LRU) like the value cache; results are copied out, so eviction never
   /// invalidates callers.
   mutable ShardedLruCache<std::string, AnswerResult> answer_cache_;
-  mutable obs::ShardedCounter answer_cache_hits_;
-  mutable obs::ShardedCounter answer_cache_misses_;
 };
 
 }  // namespace kbqa::core

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "nlp/stopwords.h"
@@ -66,18 +68,21 @@ VariantSolver::VariantSolver(const rdf::KnowledgeBase* kb,
 
 std::optional<taxonomy::CategoryId> VariantSolver::LookupCategoryWord(
     const std::string& word) const {
-  auto category = taxonomy_->LookupCategory("$" + word);
-  if (category) return category;
+  // "$" + the first `stem` chars of `word` + `suffix`.
+  const auto lookup = [this, &word](size_t stem, std::string_view suffix) {
+    std::string name = "$";
+    name.append(word, 0, stem);
+    name += suffix;
+    return taxonomy_->LookupCategory(name);
+  };
+  if (auto category = lookup(word.size(), "")) return category;
   // Plural forms: "citys ..." (generator form), "cities ..." (-ies -> -y),
   // "books ..." (bare -s).
   if (word.size() > 3 && word.ends_with("ies")) {
-    category =
-        taxonomy_->LookupCategory("$" + word.substr(0, word.size() - 3) + "y");
-    if (category) return category;
+    if (auto category = lookup(word.size() - 3, "y")) return category;
   }
   if (word.size() > 1 && word.back() == 's') {
-    category = taxonomy_->LookupCategory("$" + word.substr(0, word.size() - 1));
-    if (category) return category;
+    if (auto category = lookup(word.size() - 1, "")) return category;
   }
   return std::nullopt;
 }

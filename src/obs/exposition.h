@@ -15,7 +15,7 @@
 namespace kbqa::obs {
 
 /// Renders the snapshot as two aligned tables: scalar metrics (counters +
-/// gauges) and histograms with approximate quantiles. Histogram values
+/// gauges) and histograms with interpolated quantiles. Histogram values
 /// are unit-free; by convention latency metrics carry a "_ns" suffix or a
 /// "span." prefix (always nanoseconds).
 inline void RenderMetricsTable(const MetricsSnapshot& snap,
@@ -31,23 +31,20 @@ inline void RenderMetricsTable(const MetricsSnapshot& snap,
   scalars.Print(os);
 
   TablePrinter hists("Observability: histograms (log2 buckets)");
-  hists.SetHeader({"histogram", "count", "mean", "p50<=", "p90<=", "p99<=",
-                   "max<="});
+  hists.SetHeader({"histogram", "count", "mean", "p50", "p90", "p99", "max"});
   for (const auto& h : snap.histograms) {
     if (h.count == 0) continue;
     hists.AddRow({h.name,
                   TablePrinter::Int(static_cast<long long>(h.count)),
                   TablePrinter::Num(h.Mean(), 1),
                   TablePrinter::Int(static_cast<long long>(
-                      h.ApproxQuantile(0.50))),
+                      h.ValueAtQuantile(0.50))),
                   TablePrinter::Int(static_cast<long long>(
-                      h.ApproxQuantile(0.90))),
+                      h.ValueAtQuantile(0.90))),
                   TablePrinter::Int(static_cast<long long>(
-                      h.ApproxQuantile(0.99))),
+                      h.ValueAtQuantile(0.99))),
                   TablePrinter::Int(static_cast<long long>(
-                      h.buckets.empty()
-                          ? 0
-                          : Histogram::UpperBound(h.buckets.back().bucket)))});
+                      h.ValueAtQuantile(1.0)))});
   }
   hists.Print(os);
 }

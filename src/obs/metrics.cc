@@ -40,54 +40,42 @@ void Histogram::Reset() {
   }
 }
 
-uint64_t MetricsSnapshot::HistogramEntry::ApproxQuantile(double q) const {
-  if (count == 0) return 0;
-  if (q < 0) q = 0;
-  if (q > 1) q = 1;
-  const double target = q * static_cast<double>(count);
-  uint64_t cumulative = 0;
-  for (const BucketEntry& b : buckets) {
-    cumulative += b.count;
-    if (static_cast<double>(cumulative) >= target) {
-      return Histogram::UpperBound(b.bucket);
-    }
-  }
-  return buckets.empty() ? 0 : Histogram::UpperBound(buckets.back().bucket);
-}
-
 uint64_t MetricsSnapshot::HistogramEntry::ValueAtQuantile(double q) const {
   if (count == 0) return 0;
   if (q < 0) q = 0;
   if (q > 1) q = 1;
   const double target = q * static_cast<double>(count);
+  // No sample exceeds the total, so every estimate is clamped to `sum`: a
+  // one-sample histogram then reads back exactly at any q.
+  uint64_t estimate =
+      buckets.empty() ? 0 : Histogram::UpperBound(buckets.back().bucket);
   uint64_t cumulative = 0;
   for (const BucketEntry& b : buckets) {
     const uint64_t before = cumulative;
     cumulative += b.count;
     if (static_cast<double>(cumulative) < target) continue;
-    const uint64_t upper = Histogram::UpperBound(b.bucket);
-    // Bucket 0 is the point mass {0}; the overflow bucket has no finite
-    // width — report its floor rather than inventing mass beyond 2^62.
+    // Bucket 0 is the point mass {0}.
     if (b.bucket == 0) return 0;
+    const uint64_t upper = Histogram::UpperBound(b.bucket);
     const uint64_t lower = Histogram::UpperBound(b.bucket - 1) + 1;
     if (static_cast<double>(cumulative) >= static_cast<double>(count) &&
         target >= static_cast<double>(count)) {
-      // Max quantile: interpolation would report the bucket's lower bound
-      // (or an interior point) even when the one recorded sample sits at
-      // the top of the bucket. `sum` bounds the max from above whenever
-      // this bucket holds the final sample(s), so clamp the answer into
-      // [lower, min(upper, sum)] and take the top — for a single-sample
-      // histogram this is exactly the recorded value.
-      const uint64_t sum_cap = sum < lower ? lower : sum;
-      return upper < sum_cap ? upper : sum_cap;
+      // Max quantile: the bucket ceiling, never its floor or an interior
+      // point, so the answer is never below a recorded sample.
+      estimate = upper;
+    } else if (upper == UINT64_MAX) {
+      // The overflow bucket has no finite width: report its floor rather
+      // than inventing mass beyond 2^62.
+      estimate = lower;
+    } else {
+      const double fraction = (target - static_cast<double>(before)) /
+                              static_cast<double>(b.count);
+      estimate = lower + static_cast<uint64_t>(
+                             fraction * static_cast<double>(upper - lower));
     }
-    if (upper == UINT64_MAX) return lower;
-    const double fraction =
-        (target - static_cast<double>(before)) / static_cast<double>(b.count);
-    return lower + static_cast<uint64_t>(
-                       fraction * static_cast<double>(upper - lower));
+    break;
   }
-  return buckets.empty() ? 0 : Histogram::UpperBound(buckets.back().bucket);
+  return estimate < sum ? estimate : sum;
 }
 
 namespace {

@@ -224,17 +224,14 @@ struct MetricsSnapshot {
       return count == 0 ? 0
                         : static_cast<double>(sum) / static_cast<double>(count);
     }
-    /// Inclusive upper bound of the bucket where the cumulative count
-    /// first reaches q * count (the log-bucket quantile approximation).
-    uint64_t ApproxQuantile(double q) const;
     /// Quantile with linear interpolation inside the landing bucket:
     /// assumes the bucket's mass is spread uniformly over [lower, upper]
-    /// and returns the value at the target rank's position within it.
-    /// Strictly tighter than ApproxQuantile (which always reports the
-    /// bucket ceiling — a 2x overestimate in the worst case for the
-    /// power-of-two buckets); exact for single-bucket point masses. This
-    /// is what makes `online.serve.latency` percentiles queryable from
-    /// the registry without a bench-side reservoir.
+    /// and returns the value at the target rank's position within it
+    /// (q = 1 returns the top bucket's ceiling). Every result is clamped
+    /// to `sum`, which no sample can exceed, so a one-sample histogram
+    /// reads back exactly. This is the one quantile estimator: span
+    /// summaries, metric tables and the `online.serve.*` percentiles all
+    /// read it.
     uint64_t ValueAtQuantile(double q) const;
 
     bool operator==(const HistogramEntry&) const = default;

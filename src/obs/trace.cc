@@ -25,12 +25,12 @@ void WriteSpanSummary(std::ostream& os, size_t top_n) {
   for (const auto* h : spans) {
     std::snprintf(buf, sizeof(buf),
                   "  %-32s count %-10llu total %10.3f ms   avg %9.3f us   "
-                  "p99 <= %9.3f us\n",
+                  "p99 %9.3f us\n",
                   h->name.c_str(),
                   static_cast<unsigned long long>(h->count),
                   static_cast<double>(h->sum) / 1e6,
                   h->Mean() / 1e3,
-                  static_cast<double>(h->ApproxQuantile(0.99)) / 1e3);
+                  static_cast<double>(h->ValueAtQuantile(0.99)) / 1e3);
     os << buf;
   }
   if (spans.empty()) os << "  (no spans recorded)\n";

@@ -317,11 +317,9 @@ CompressedExpandedKb::FetchBlock(uint32_t block_id) const {
   obs::RequestContext* const ctx = obs::CurrentRequestContext();
   std::shared_ptr<const DecodedBlock> block;
   if (cache_->Get(block_id, &block)) {
-    counters_->hits.fetch_add(1, std::memory_order_relaxed);
     if (ctx != nullptr) ++ctx->block_cache_hits;
     return block;
   }
-  counters_->misses.fetch_add(1, std::memory_order_relaxed);
   if (ctx != nullptr) ++ctx->block_cache_misses;
   const BlockInfo& info = index_[block_id];
   if (options_.blocks_resident) {
@@ -431,13 +429,13 @@ CompressedExpandedKb::MemoryStats CompressedExpandedKb::memory_stats() const {
                        sizeof(PredId);
   }
   stats.paths_bytes = paths_bytes;
-  const auto cache_stats = cache_->GetStats();
+  const CacheStats cache_stats = cache_->GetStats();
   stats.decoded_cache_bytes = cache_stats.bytes;
   stats.decoded_cache_budget_bytes = options_.decoded_cache_budget_bytes;
+  stats.hits = cache_stats.hits;
+  stats.misses = cache_stats.misses;
   stats.evictions = cache_stats.evictions;
   stats.raw_equivalent_bytes = raw_equivalent_bytes_;
-  stats.hits = counters_->hits.load(std::memory_order_relaxed);
-  stats.misses = counters_->misses.load(std::memory_order_relaxed);
   stats.corrupt_blocks =
       counters_->corrupt_blocks.load(std::memory_order_relaxed);
   stats.blocks_resident = options_.blocks_resident;

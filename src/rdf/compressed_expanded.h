@@ -153,9 +153,8 @@ class CompressedExpandedKb {
       ShardedLruCache<uint32_t, std::shared_ptr<const DecodedBlock>>;
 
   /// Heap-boxed so the enclosing class stays movable (std::atomic is not).
+  /// Hits and misses live in the block cache's own books.
   struct Counters {
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> corrupt_blocks{0};
   };
 

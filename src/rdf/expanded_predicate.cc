@@ -450,21 +450,12 @@ uint64_t ExpandedKb::ApproxResidentBytes() const {
 
 std::vector<TermId> ObjectsViaPath(const KnowledgeBase& kb, TermId e,
                                    const PredPath& path) {
-  std::vector<TermId> frontier = {e};
-  for (size_t depth = 0; depth < path.size(); ++depth) {
-    std::vector<TermId> next;
-    for (TermId node : frontier) {
-      if (kb.IsLiteral(node)) continue;
-      for (const auto& po : kb.ObjectsRange(node, path[depth])) {
-        next.push_back(po.o);
-      }
-    }
-    std::sort(next.begin(), next.end());
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    frontier = std::move(next);
-    if (frontier.empty()) break;
-  }
-  return frontier;
+  const auto append = [&kb](TermId node, PredId p,
+                            std::vector<TermId>* next) {
+    if (kb.IsLiteral(node)) return;
+    for (const auto& po : kb.ObjectsRange(node, p)) next->push_back(po.o);
+  };
+  return WalkPath(e, path, append);
 }
 
 }  // namespace kbqa::rdf

@@ -1,6 +1,7 @@
 #ifndef KBQA_RDF_EXPANDED_PREDICATE_H_
 #define KBQA_RDF_EXPANDED_PREDICATE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -177,6 +178,26 @@ class ExpandedKb {
 /// knowledge base starting from e and going through p+"). Deduplicated.
 std::vector<TermId> ObjectsViaPath(const KnowledgeBase& kb, TermId e,
                                    const PredPath& path);
+
+/// The frontier walk behind every V(e, p+) evaluation: starting from {e},
+/// each hop p of `path` replaces the frontier with the sorted-unique
+/// objects that `append(node, p, &next)` adds for its nodes (the step also
+/// skips literals, which have no out-edges). The frozen ObjectsViaPath and
+/// the live KbSnapshot::ObjectsViaPath differ only in that step.
+template <typename AppendObjects>
+std::vector<TermId> WalkPath(TermId e, const PredPath& path,
+                             AppendObjects&& append) {
+  std::vector<TermId> frontier = {e};
+  for (const PredId p : path) {
+    std::vector<TermId> next;
+    for (TermId node : frontier) append(node, p, &next);
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    frontier = std::move(next);
+    if (frontier.empty()) break;
+  }
+  return frontier;
+}
 
 }  // namespace kbqa::rdf
 

@@ -197,29 +197,20 @@ std::vector<TermId> KbSnapshot::Objects(TermId s, PredId p) const {
 std::vector<TermId> KbSnapshot::ObjectsViaPath(TermId e,
                                                const PredPath& path) const {
   if (overlay->empty()) return rdf::ObjectsViaPath(*base, e, path);
-  std::vector<TermId> frontier = {e};
-  for (size_t depth = 0; depth < path.size(); ++depth) {
-    std::vector<TermId> next;
-    for (TermId node : frontier) {
-      if (IsLiteral(node)) continue;
-      const PredId p = path[depth];
-      if (node < base->num_nodes() && p < base->num_predicates()) {
-        for (const PredicateObject& po : base->ObjectsRange(node, p)) {
-          if (!overlay->Tombstoned(Triple{node, p, po.o})) {
-            next.push_back(po.o);
-          }
-        }
-      }
-      for (const PredicateObject& po : overlay->AddsRange(node, p)) {
-        next.push_back(po.o);
+  // Merged step: base objects minus tombstones, plus overlay adds.
+  const auto append = [this](TermId node, PredId p,
+                             std::vector<TermId>* next) {
+    if (IsLiteral(node)) return;
+    if (node < base->num_nodes() && p < base->num_predicates()) {
+      for (const PredicateObject& po : base->ObjectsRange(node, p)) {
+        if (!overlay->Tombstoned(Triple{node, p, po.o})) next->push_back(po.o);
       }
     }
-    std::sort(next.begin(), next.end());
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    frontier = std::move(next);
-    if (frontier.empty()) break;
-  }
-  return frontier;
+    for (const PredicateObject& po : overlay->AddsRange(node, p)) {
+      next->push_back(po.o);
+    }
+  };
+  return WalkPath(e, path, append);
 }
 
 bool KbSnapshot::HasTriple(TermId s, PredId p, TermId o) const {

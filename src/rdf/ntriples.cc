@@ -202,11 +202,19 @@ Result<NTriple> ParseNTripleLine(const std::string& line) {
 }
 
 std::string FormatNTripleLine(const NTriple& triple) {
-  std::string out = "<" + triple.subject + "> <" + triple.predicate + "> ";
+  std::string out = "<";
+  out += triple.subject;
+  out += "> <";
+  out += triple.predicate;
+  out += "> ";
   if (triple.object_is_literal) {
-    out += "\"" + EscapeLiteral(triple.object) + "\"";
+    out += '"';
+    out += EscapeLiteral(triple.object);
+    out += '"';
   } else {
-    out += "<" + triple.object + ">";
+    out += '<';
+    out += triple.object;
+    out += '>';
   }
   out += " .";
   return out;

@@ -268,8 +268,12 @@ std::string QueryToString(const Query& query) {
   for (size_t i = 0; i < query.where.size(); ++i) {
     if (i > 0) out += " .";
     const TriplePattern& p = query.where[i];
-    out += " " + TermToString(p.subject) + " " + p.predicate + " " +
-           TermToString(p.object);
+    out += ' ';
+    out += TermToString(p.subject);
+    out += ' ';
+    out += p.predicate;
+    out += ' ';
+    out += TermToString(p.object);
   }
   out += " }";
   return out;
@@ -307,7 +311,8 @@ Query BuildPathQuery(const KnowledgeBase& kb, TermId e,
   for (size_t i = 0; i < path.size(); ++i) {
     bool last = (i + 1 == path.size());
     PatternTerm object{true, last ? std::string("v")
-                                  : "x" + std::to_string(i + 1)};
+                                  : std::string("x").append(
+                                        std::to_string(i + 1))};
     query.where.push_back(
         TriplePattern{subject, kb.PredicateString(path[i]), object});
     subject = object;

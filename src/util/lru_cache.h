@@ -15,6 +15,19 @@
 
 namespace kbqa {
 
+/// The books of one ShardedLruCache. `hits`/`misses` count Get calls;
+/// `entries` is the number of resident keys and `bytes` their summed
+/// charges; `evictions` counts entries dropped to stay under
+/// `budget_bytes` (0 = unbounded, never evicts).
+struct CacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t entries = 0;
+  uint64_t bytes = 0;
+  uint64_t evictions = 0;
+  uint64_t budget_bytes = 0;
+};
+
 /// Memory-budgeted, sharded LRU cache.
 ///
 /// The key space is hash-partitioned over N independent shards (N rounded
@@ -49,11 +62,7 @@ namespace kbqa {
 template <typename Key, typename Value>
 class ShardedLruCache {
  public:
-  struct Stats {
-    uint64_t entries = 0;
-    uint64_t bytes = 0;      // summed entry charges currently resident
-    uint64_t evictions = 0;  // entries dropped to make room since creation
-  };
+  using Stats = CacheStats;
 
   /// `budget_bytes == 0` means unbounded. `num_shards` is rounded up to a
   /// power of two (minimum 1).
@@ -66,12 +75,17 @@ class ShardedLruCache {
 
   /// Copies the value for `key` into `*out` and promotes the entry to
   /// most-recently-used. Returns false (leaving `*out` untouched) when the
-  /// key is absent.
+  /// key is absent. Either way the lookup is booked as a hit or a miss
+  /// under the shard lock already held.
   bool Get(const Key& key, Value* out) {
     Shard& shard = ShardFor(key);
     MutexLock lock(shard.mu);
     auto it = shard.index.find(key);
-    if (it == shard.index.end()) return false;
+    if (it == shard.index.end()) {
+      ++shard.misses;
+      return false;
+    }
+    ++shard.hits;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     *out = it->second->value;
     return true;
@@ -137,46 +151,15 @@ class ShardedLruCache {
     return evicted;
   }
 
-  /// Removes `key` if present, releasing its charge from the shard books
-  /// and the global reservation. Returns true when an entry was removed.
-  bool Erase(const Key& key) {
-    Shard& shard = ShardFor(key);
-    MutexLock lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) return false;
-    const uint64_t charge = it->second->charge;
-    shard.bytes -= charge;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    if (budget_bytes_ != 0) {
-      total_bytes_.fetch_sub(charge, std::memory_order_relaxed);
-    }
-    return true;
-  }
-
-  /// Drops every entry, returning the books (shard and global) to zero.
-  /// Entries are released shard by shard — a concurrent insert may land in
-  /// an already-cleared shard and survive; Clear makes no atomicity claim
-  /// across shards. Cleared entries do not count as evictions.
-  void Clear() {
-    for (Shard& shard : shards_) {
-      MutexLock lock(shard.mu);
-      const uint64_t released = shard.bytes;
-      shard.lru.clear();
-      shard.index.clear();
-      shard.bytes = 0;
-      if (budget_bytes_ != 0 && released != 0) {
-        total_bytes_.fetch_sub(released, std::memory_order_relaxed);
-      }
-    }
-  }
-
   /// Merged accounting across shards. `entries`/`bytes` are a point-in-time
-  /// view; `evictions` is monotone.
+  /// view; `hits`, `misses` and `evictions` are monotone.
   Stats GetStats() const {
     Stats stats;
+    stats.budget_bytes = budget_bytes_;
     for (const Shard& shard : shards_) {
       MutexLock lock(shard.mu);
+      stats.hits += shard.hits;
+      stats.misses += shard.misses;
       stats.entries += shard.index.size();
       stats.bytes += shard.bytes;
       stats.evictions += shard.evictions;
@@ -189,8 +172,8 @@ class ShardedLruCache {
 
   /// Bytes currently reserved against the budget: committed entries plus
   /// in-flight insert reservations. Quiescent, this equals GetStats().bytes
-  /// exactly — the accounting-regression tests assert both return to zero
-  /// after insert/replace/erase storms. Always 0 when unbounded.
+  /// exactly — the accounting-regression tests assert it after
+  /// insert/replace/evict storms. Always 0 when unbounded.
   uint64_t reserved_bytes() const {
     return total_bytes_.load(std::memory_order_relaxed);
   }
@@ -211,6 +194,8 @@ class ShardedLruCache {
         GUARDED_BY(mu);
     uint64_t bytes GUARDED_BY(mu) = 0;
     uint64_t evictions GUARDED_BY(mu) = 0;
+    uint64_t hits GUARDED_BY(mu) = 0;
+    uint64_t misses GUARDED_BY(mu) = 0;
   };
 
   size_t ShardIndexFor(const Key& key) const {

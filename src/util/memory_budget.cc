@@ -4,34 +4,10 @@
 
 #include <cstdio>
 #include <string>
-#include <utility>
 
 #include "obs/metrics.h"
 
 namespace kbqa::util {
-
-MemoryBudget::MemoryBudget(uint64_t total_bytes,
-                           std::vector<Component> components)
-    : total_bytes_(total_bytes), components_(std::move(components)) {
-  double weight_sum = 0;
-  for (const Component& c : components_) {
-    if (c.weight > 0) weight_sum += c.weight;
-  }
-  slices_.resize(components_.size(), 0);
-  if (total_bytes_ == 0 || weight_sum <= 0) return;
-  for (size_t i = 0; i < components_.size(); ++i) {
-    const double w = components_[i].weight > 0 ? components_[i].weight : 0;
-    slices_[i] = static_cast<uint64_t>(
-        static_cast<double>(total_bytes_) * (w / weight_sum));
-  }
-}
-
-uint64_t MemoryBudget::BudgetFor(std::string_view name) const {
-  for (size_t i = 0; i < components_.size(); ++i) {
-    if (components_[i].name == name) return slices_[i];
-  }
-  return 0;
-}
 
 void MemoryBudget::Publish(std::string_view name, uint64_t bytes) {
   std::string gauge = "mem.";
@@ -39,19 +15,6 @@ void MemoryBudget::Publish(std::string_view name, uint64_t bytes) {
   gauge += ".bytes";
   obs::MetricsRegistry::Global().GetGauge(gauge)->Set(
       static_cast<double>(bytes));
-}
-
-void MemoryBudget::PublishBudgets() const {
-  obs::MetricsRegistry::Global()
-      .GetGauge("mem.budget.bytes")
-      ->Set(static_cast<double>(total_bytes_));
-  for (size_t i = 0; i < components_.size(); ++i) {
-    std::string gauge = "mem.";
-    gauge.append(components_[i].name);
-    gauge += ".budget_bytes";
-    obs::MetricsRegistry::Global().GetGauge(gauge)->Set(
-        static_cast<double>(slices_[i]));
-  }
 }
 
 uint64_t ProcessResidentBytes() {

@@ -2,54 +2,20 @@
 #define KBQA_UTIL_MEMORY_BUDGET_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace kbqa::util {
 
-/// Arbitrates one process-level byte budget across named memory consumers
-/// (value cache, answer cache, decoded expanded-KB blocks, ...).
-///
-/// Construction takes the total budget plus a weighted component list; each
-/// component's slice is `total * weight / sum(weights)`, computed once —
-/// the arbiter is a static split, not a runtime reclaimer. A total of 0
-/// means "unbudgeted": every component slice is 0, which downstream code
-/// (ShardedLruCache, the paged expanded-KB reader) interprets as
-/// unbounded, matching the pre-budget behavior.
-///
-/// `Publish` exports per-component usage through the global metrics
-/// registry as `mem.<component>.bytes` gauges, alongside
-/// `mem.<component>.budget_bytes` and the process-wide `mem.budget.bytes`,
-/// so a metrics snapshot shows both the split and the live residency.
+/// Memory accounting exported through the global metrics registry. How a
+/// process budget is split across the engine's consumers is decided by
+/// its one owner (core::KbqaSystem), which also publishes the
+/// `mem.budget.bytes` and `mem.<component>.budget_bytes` gauges.
 class MemoryBudget {
  public:
-  struct Component {
-    std::string name;
-    double weight = 1.0;
-  };
-
-  MemoryBudget(uint64_t total_bytes, std::vector<Component> components);
-
-  uint64_t total_bytes() const { return total_bytes_; }
-
-  /// The byte slice assigned to `name`; 0 when the total is 0 (unbudgeted)
-  /// or the component is unknown.
-  uint64_t BudgetFor(std::string_view name) const;
+  MemoryBudget() = delete;
 
   /// Sets `mem.<name>.bytes` in the global metrics registry to `bytes`.
-  /// Unknown names publish too — callers may account one-off consumers —
-  /// but get no budget gauge.
   static void Publish(std::string_view name, uint64_t bytes);
-
-  /// Publishes `mem.budget.bytes` and each `mem.<component>.budget_bytes`.
-  /// Call once after construction (and again if re-created with new knobs).
-  void PublishBudgets() const;
-
- private:
-  uint64_t total_bytes_ = 0;
-  std::vector<Component> components_;
-  std::vector<uint64_t> slices_;  // parallel to components_
 };
 
 /// Current process resident-set size in bytes (Linux /proc/self/statm;

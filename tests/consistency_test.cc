@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/variants.h"
@@ -150,47 +151,89 @@ TEST_F(ConsistencyTest, CompressedSubstrateAndBudgetsDontChangeAnswers) {
   ASSERT_TRUE(reference.Train(experiment().train_corpus()).ok());
   ASSERT_EQ(reference.compressed_expanded_kb(), nullptr);
 
+  std::vector<std::string> questions;
+  for (const corpus::QaPair& pair : set.questions.pairs) {
+    questions.push_back(pair.question);
+  }
+  const auto expect_same = [](const core::AnswerResult& got,
+                              const core::AnswerResult& want,
+                              uint64_t budget, const std::string& question) {
+    EXPECT_EQ(got.answered, want.answered) << budget << " " << question;
+    EXPECT_EQ(got.value, want.value) << budget << " " << question;
+    EXPECT_EQ(got.score, want.score) << budget << " " << question;
+    EXPECT_EQ(got.predicate, want.predicate) << budget << " " << question;
+    EXPECT_EQ(got.sparql, want.sparql) << budget << " " << question;
+    EXPECT_EQ(got.values, want.values) << budget << " " << question;
+    ASSERT_EQ(got.ranked.size(), want.ranked.size()) << question;
+    for (size_t i = 0; i < got.ranked.size(); ++i) {
+      EXPECT_EQ(got.ranked[i].value, want.ranked[i].value);
+      EXPECT_EQ(got.ranked[i].score, want.ranked[i].score) << "bit-exact";
+    }
+  };
+
   // Unbounded compressed, a roomy budget, and a starvation budget (the
   // decoded-block and memo caches get a few KB each and churn constantly).
+  // The answer cache is on so every component of the split is exercised:
+  // AnswerAll routes through it, Answer does not.
   const uint64_t budgets[] = {0, 4u << 20, 32u << 10};
   for (uint64_t budget : budgets) {
     core::KbqaOptions options = base;
     options.use_compressed_expansion = true;
     options.compressed_block_edges = 512;  // several blocks even at test scale
     options.process_memory_budget_bytes = budget;
+    options.online.enable_answer_cache = true;
     core::KbqaSystem system(&experiment().world(), options);
     ASSERT_TRUE(system.Train(experiment().train_corpus()).ok());
     ASSERT_NE(system.compressed_expanded_kb(), nullptr);
 
-    for (const corpus::QaPair& pair : set.questions.pairs) {
-      core::AnswerResult got = system.Answer(pair.question);
-      core::AnswerResult want = reference.Answer(pair.question);
-      EXPECT_EQ(got.answered, want.answered) << budget << " " << pair.question;
-      EXPECT_EQ(got.value, want.value) << budget << " " << pair.question;
-      EXPECT_EQ(got.score, want.score) << budget << " " << pair.question;
-      EXPECT_EQ(got.predicate, want.predicate) << budget << " " << pair.question;
-      EXPECT_EQ(got.sparql, want.sparql) << budget << " " << pair.question;
-      EXPECT_EQ(got.values, want.values) << budget << " " << pair.question;
-      ASSERT_EQ(got.ranked.size(), want.ranked.size()) << pair.question;
-      for (size_t i = 0; i < got.ranked.size(); ++i) {
-        EXPECT_EQ(got.ranked[i].value, want.ranked[i].value);
-        EXPECT_EQ(got.ranked[i].score, want.ranked[i].score) << "bit-exact";
-      }
+    const std::vector<core::AnswerResult> batched =
+        system.AnswerAll(questions, 2);
+    ASSERT_EQ(batched.size(), questions.size());
+    for (size_t i = 0; i < questions.size(); ++i) {
+      const core::AnswerResult want = reference.Answer(questions[i]);
+      expect_same(system.Answer(questions[i]), want, budget, questions[i]);
+      expect_same(batched[i], want, budget, questions[i]);
     }
 
     const rdf::CompressedExpandedKb::MemoryStats stats =
         system.compressed_expanded_kb()->memory_stats();
+    const core::ValueCacheStats value_cache =
+        system.online().value_cache_stats();
+    const core::ValueCacheStats answer_cache =
+        system.online().answer_cache_stats();
     EXPECT_EQ(stats.corrupt_blocks, 0u);
     EXPECT_LT(stats.ResidentBytes(), stats.raw_equivalent_bytes) << budget;
-    if (budget != 0) {
-      EXPECT_GT(stats.decoded_cache_budget_bytes, 0u);
-      EXPECT_LE(stats.decoded_cache_bytes, stats.decoded_cache_budget_bytes);
-    }
     system.PublishMemoryGauges();
     obs::MetricsSnapshot snapshot = core::KbqaSystem::MetricsSnapshot();
     ASSERT_NE(snapshot.gauge("mem.ekb_compressed.bytes"), nullptr);
     EXPECT_EQ(snapshot.gauge("mem.ekb_compressed.bytes")->value,
               static_cast<double>(stats.compressed_bytes));
+    if (budget == 0) {
+      // No split: each component keeps its own option (unbounded here).
+      EXPECT_EQ(value_cache.budget_bytes, base.online.value_cache_budget_bytes);
+      EXPECT_EQ(answer_cache.budget_bytes,
+                base.online.answer_cache_budget_bytes);
+      EXPECT_EQ(stats.decoded_cache_budget_bytes, 0u);
+      continue;
+    }
+    // The fixed split: a quarter to each memo cache, half to the decoded
+    // blocks, and the gauges publish exactly that split.
+    EXPECT_EQ(value_cache.budget_bytes, budget / 4);
+    EXPECT_EQ(answer_cache.budget_bytes, budget / 4);
+    EXPECT_EQ(stats.decoded_cache_budget_bytes, budget / 2);
+    EXPECT_LE(value_cache.bytes, value_cache.budget_bytes);
+    EXPECT_LE(answer_cache.bytes, answer_cache.budget_bytes);
+    EXPECT_LE(stats.decoded_cache_bytes, stats.decoded_cache_budget_bytes);
+    const std::pair<const char*, uint64_t> gauges[] = {
+        {"mem.budget.bytes", budget},
+        {"mem.value_cache.budget_bytes", budget / 4},
+        {"mem.answer_cache.budget_bytes", budget / 4},
+        {"mem.ekb_blocks.budget_bytes", budget / 2}};
+    for (const auto& [name, want] : gauges) {
+      ASSERT_NE(snapshot.gauge(name), nullptr) << name;
+      EXPECT_EQ(snapshot.gauge(name)->value, static_cast<double>(want))
+          << name;
+    }
   }
 }
 

@@ -33,9 +33,14 @@ TEST(ShardedLruCacheTest, GetMissThenHit) {
   Cache cache(/*budget_bytes=*/0);
   std::vector<uint32_t> out;
   EXPECT_FALSE(cache.Get(7, &out));
+  EXPECT_EQ(cache.GetStats().misses, 1u);
+  EXPECT_EQ(cache.GetStats().hits, 0u);
   cache.Insert(7, PayloadFor(7, 4), 4 * sizeof(uint32_t));
   ASSERT_TRUE(cache.Get(7, &out));
   EXPECT_EQ(out, PayloadFor(7, 4));
+  const Cache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
 }
 
 TEST(ShardedLruCacheTest, EvictionFollowsLruOrder) {
@@ -146,88 +151,45 @@ TEST(ShardedLruCacheTest, ReplacementRebooksSizeDeltaExactly) {
   EXPECT_EQ(out, PayloadFor(9, 2));
 }
 
-TEST(ShardedLruCacheTest, EraseReleasesChargeAndClearEmptiesEveryShard) {
-  const uint64_t budget = 1 << 16;
-  Cache cache(budget, /*num_shards=*/4);
-  for (uint64_t key = 0; key < 64; ++key) {
-    cache.Insert(key, PayloadFor(key, 4), 4 * sizeof(uint32_t));
-  }
-  ASSERT_EQ(cache.GetStats().entries, 64u);
-
-  EXPECT_TRUE(cache.Erase(7));
-  EXPECT_FALSE(cache.Erase(7));    // already gone
-  EXPECT_FALSE(cache.Erase(999));  // never present
-  std::vector<uint32_t> out;
-  EXPECT_FALSE(cache.Get(7, &out));
-  EXPECT_EQ(cache.GetStats().entries, 63u);
-  EXPECT_EQ(cache.GetStats().bytes, 63 * ChargeOf(4));
-  EXPECT_EQ(cache.reserved_bytes(), 63 * ChargeOf(4));
-
-  cache.Clear();
-  const Cache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.bytes, 0u);
-  EXPECT_EQ(cache.reserved_bytes(), 0u);
-  EXPECT_EQ(stats.evictions, 0u);  // clears are not evictions
-  for (uint64_t key = 0; key < 64; ++key) {
-    EXPECT_FALSE(cache.Get(key, &out)) << key;
-  }
-}
-
 // The accounting-storm regression: across borrowing shards, after an
-// arbitrary insert / different-size-replace / erase storm, erasing every
-// surviving key must return BOTH books — per-shard committed bytes and the
-// global atomic reservation — to exactly zero, and the full budget must be
-// usable again. Any leak in the replacement or removal paths shows up here
-// as a nonzero residue or a spuriously shrunken budget.
+// arbitrary insert / different-size-replace / evict storm, the drift
+// between the two books — per-shard committed bytes and the global atomic
+// reservation — must return exactly to zero at quiescence, and the
+// committed bytes must sit within the budget. Any leak in the replacement
+// or eviction paths shows up here as a residue between the two.
 TEST(ShardedLruCacheTest, StormAccountingReturnsExactlyToZero) {
   const uint64_t charge4 = ChargeOf(4);
   const uint64_t budget = 48 * charge4;  // small: forces cross-shard borrow
   Cache cache(budget, /*num_shards=*/8);
   Rng rng(20250808);
-  std::vector<uint64_t> live;
+  uint64_t gets = 0;
   for (int i = 0; i < 20000; ++i) {
     const uint64_t key = rng.Uniform(96);
-    switch (rng.Uniform(3)) {
-      case 0: {  // insert or same-key replace with a fresh size
-        const size_t len = 1 + rng.Uniform(24);
-        cache.Insert(key, PayloadFor(key, len), len * sizeof(uint32_t));
-        break;
-      }
-      case 1:
-        (void)cache.Erase(key);
-        break;
-      default: {
-        std::vector<uint32_t> out;
-        (void)cache.Get(key, &out);
-        break;
-      }
+    if (rng.Uniform(2) == 0) {  // insert or same-key replace, fresh size
+      const size_t len = 1 + rng.Uniform(24);
+      cache.Insert(key, PayloadFor(key, len), len * sizeof(uint32_t));
+    } else {
+      std::vector<uint32_t> out;
+      (void)cache.Get(key, &out);
+      ++gets;
     }
     if (i % 1024 == 0) {
       EXPECT_LE(cache.GetStats().bytes, budget);
       EXPECT_LE(cache.reserved_bytes(), budget);
     }
   }
-  // Drain: erase the whole keyspace, then the books must be exactly zero.
-  for (uint64_t key = 0; key < 96; ++key) (void)cache.Erase(key);
-  EXPECT_EQ(cache.GetStats().entries, 0u);
-  EXPECT_EQ(cache.GetStats().bytes, 0u);
-  EXPECT_EQ(cache.reserved_bytes(), 0u);
-  // The full budget is available again: exactly 48 four-word entries fit
-  // with zero evictions.
-  for (uint64_t key = 1000; key < 1048; ++key) {
-    EXPECT_EQ(cache.Insert(key, PayloadFor(key, 4), 4 * sizeof(uint32_t)),
-              0u);
-  }
-  EXPECT_EQ(cache.GetStats().entries, 48u);
-  EXPECT_EQ(cache.GetStats().bytes, budget);
-  EXPECT_EQ(cache.reserved_bytes(), budget);
+  const Cache::Stats stats = cache.GetStats();
+  EXPECT_EQ(cache.reserved_bytes(), stats.bytes);
+  EXPECT_LE(stats.bytes, budget);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, gets);
 }
 
-// Concurrent flavor of the storm: 8 threads mixing inserts, replacements,
-// erases, and clears, then a single-threaded drain. The final books must
-// still be exactly zero (run under ASan/TSan configurations this also
-// gates the locking of the new Erase/Clear paths).
+// Concurrent flavor of the storm: 8 threads mixing inserts, replacements
+// and lookups over a keyspace that overflows the budget. Once the threads
+// have joined, the two books must agree exactly (run under ASan/TSan
+// configurations this also gates the locking of the eviction and
+// replacement paths).
 TEST(ShardedLruCacheTest, ConcurrentStormThenDrainReturnsToZero) {
   const uint64_t budget = 1 << 14;
   Cache cache(budget, /*num_shards=*/8);
@@ -238,12 +200,7 @@ TEST(ShardedLruCacheTest, ConcurrentStormThenDrainReturnsToZero) {
       std::vector<uint32_t> out;
       for (int i = 0; i < 8000; ++i) {
         const uint64_t key = rng.Uniform(512);
-        const uint64_t op = rng.Uniform(16);
-        if (op == 0) {
-          cache.Clear();
-        } else if (op < 5) {
-          (void)cache.Erase(key);
-        } else if (op < 10) {
+        if (rng.Uniform(2) == 0) {
           (void)cache.Get(key, &out);
         } else {
           const size_t len = 1 + rng.Uniform(16);
@@ -253,10 +210,10 @@ TEST(ShardedLruCacheTest, ConcurrentStormThenDrainReturnsToZero) {
     });
   }
   for (std::thread& thread : threads) thread.join();
-  for (uint64_t key = 0; key < 512; ++key) (void)cache.Erase(key);
-  EXPECT_EQ(cache.GetStats().entries, 0u);
-  EXPECT_EQ(cache.GetStats().bytes, 0u);
-  EXPECT_EQ(cache.reserved_bytes(), 0u);
+  const Cache::Stats stats = cache.GetStats();
+  EXPECT_EQ(cache.reserved_bytes(), stats.bytes);
+  EXPECT_LE(stats.bytes, budget);
+  EXPECT_GT(stats.evictions, 0u);
 }
 
 TEST(ShardedLruCacheTest, ShardCountRoundsUpToPowerOfTwo) {

@@ -268,7 +268,7 @@ TEST(MutableKbTest, MergeIsBitIdenticalToFromScratchFreezeAtEveryThreadCount) {
   for (int threads : {1, 2, 4}) {
     KnowledgeBase reference = BuildReference(base, ground_truth, threads);
     ExpectBitIdentical(*merged->base, reference,
-                       "t" + std::to_string(threads));
+                       std::string("t").append(std::to_string(threads)));
   }
 
   // Pre-merge equivalence too: apply more ops WITHOUT merging and check

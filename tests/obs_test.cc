@@ -59,10 +59,10 @@ TEST(HistogramTest, CountSumAndQuantiles) {
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->count, 100u);
   EXPECT_DOUBLE_EQ(entry->Mean(), 50.5);
-  // The log-bucket quantile is the upper bound of the covering bucket:
-  // the median of 1..100 lands in bucket [32, 63].
-  EXPECT_EQ(entry->ApproxQuantile(0.5), 63u);
-  EXPECT_EQ(entry->ApproxQuantile(1.0), 127u);
+  // The median of 1..100 lands in bucket [32, 63] (ranks 32..63) and
+  // interpolates to 50; the max quantile reports the top bucket's ceiling.
+  EXPECT_EQ(entry->ValueAtQuantile(0.5), 50u);
+  EXPECT_EQ(entry->ValueAtQuantile(1.0), 127u);
 
   h->Reset();
   EXPECT_EQ(h->Count(), 0u);
@@ -72,8 +72,8 @@ TEST(HistogramTest, CountSumAndQuantiles) {
 TEST(HistogramTest, ValueAtQuantileTracksExactReference) {
   // Exact reference: 1..1024 uniform, so the true nearest-rank quantile
   // is ceil(q * 1024). The interpolated estimate must land inside the
-  // covering power-of-two bucket (error < bucket width) and never be
-  // looser than ApproxQuantile's bucket-ceiling answer.
+  // covering power-of-two bucket (error < bucket width), never above the
+  // bucket ceiling.
   obs::MetricsRegistry registry;
   obs::Histogram* h = registry.GetHistogram("h");
   for (uint64_t v = 1; v <= 1024; ++v) h->Record(v);
@@ -90,17 +90,14 @@ TEST(HistogramTest, ValueAtQuantileTracksExactReference) {
     const uint64_t upper = obs::Histogram::UpperBound(bucket);
     EXPECT_GE(estimate, lower) << "q=" << q;
     EXPECT_LE(estimate, upper) << "q=" << q;
-    EXPECT_LE(estimate, entry->ApproxQuantile(q)) << "q=" << q;
     const uint64_t width = upper - lower + 1;
     const uint64_t error =
         estimate > exact ? estimate - exact : exact - estimate;
     EXPECT_LT(error, width) << "q=" << q;
   }
   // Within a bucket the uniform mass makes interpolation much tighter
-  // than the ceiling: the exact median 512 opens bucket [512, 1023], so
-  // the ceiling answer overshoots to 1023 while interpolation lands
-  // within a few counts of 512.
-  EXPECT_EQ(entry->ApproxQuantile(0.5), 1023u);
+  // than the ceiling: the exact median 512 opens bucket [512, 1023], and
+  // interpolation lands within a few counts of 512, not near 1023.
   EXPECT_GE(entry->ValueAtQuantile(0.5), 512u);
   EXPECT_LE(entry->ValueAtQuantile(0.5), 530u);
 }
@@ -148,8 +145,22 @@ TEST(HistogramTest, MaxQuantileNeverBelowRecordedMax) {
   // Multi-sample: sum (43) caps the top-bucket estimate, still >= 40.
   EXPECT_GE(snap.histogram("pair")->ValueAtQuantile(1.0), 40u);
   EXPECT_LE(snap.histogram("pair")->ValueAtQuantile(1.0), 43u);
-  // Lower quantiles keep their interpolated (not clamped) behavior.
+  // Lower quantiles interpolate inside their own bucket.
   EXPECT_LE(snap.histogram("pair")->ValueAtQuantile(0.25), 3u);
+}
+
+TEST(HistogramTest, SingleSampleReadsBackExactlyAtEveryQuantile) {
+  // One 9.05 s span sample sits in bucket [2^33, 2^34 - 1]; interpolation
+  // alone would read 12.9 s at the median and 17.1 s at p99. The clamp to
+  // `sum` makes every quantile of a one-sample histogram exact.
+  obs::MetricsRegistry registry;
+  registry.GetHistogram("span")->Record(9'050'000'000);
+  obs::MetricsSnapshot snap = registry.Snapshot();
+  const auto* entry = snap.histogram("span");
+  ASSERT_NE(entry, nullptr);
+  for (double q : {0.5, 0.99, 1.0}) {
+    EXPECT_EQ(entry->ValueAtQuantile(q), 9'050'000'000u) << "q=" << q;
+  }
 }
 
 // The tentpole determinism contract: a snapshot depends only on the set of

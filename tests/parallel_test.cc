@@ -18,6 +18,7 @@
 #include "eval/experiment.h"
 #include "eval/runner.h"
 #include "nlp/tokenizer.h"
+#include "obs/metrics.h"
 #include "util/thread_pool.h"
 
 namespace kbqa {
@@ -342,6 +343,55 @@ TEST_F(ParallelSystemTest, AnswerCacheMatchesUncachedAcrossBatches) {
   // With the memo disabled (the default), the books stay empty.
   EXPECT_EQ(kbqa.online().answer_cache_stats().entries, 0u);
   EXPECT_EQ(kbqa.online().answer_cache_stats().hits, 0u);
+}
+
+// Two sets of books count the same lookups: each cache's own shard books
+// (value_cache_stats / answer_cache_stats) and the registry counters
+// `online.{value,answer}_cache.{hits,misses}` fed from each request's
+// tally, which perfladder turns into its hit ratios. Over one AnswerAll on
+// a fresh engine their deltas must agree exactly.
+TEST_F(ParallelSystemTest, CacheBooksAgreeWithRegistryCounters) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const core::KbqaSystem& kbqa = experiment().kbqa();
+  core::OnlineInference::Options options = kbqa.options().online;
+  options.enable_value_cache = true;
+  options.enable_answer_cache = true;
+  core::OnlineInference cached(
+      &experiment().world().kb, &experiment().world().taxonomy, &kbqa.ner(),
+      &kbqa.template_store(), &kbqa.expanded_kb().paths(), options);
+
+  const auto counter = [](const char* name) -> uint64_t {
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::Global().Snapshot();
+    const auto* entry = snap.counter(name);
+    return entry != nullptr ? entry->value : 0;
+  };
+  const char* const names[] = {
+      "online.value_cache.hits", "online.value_cache.misses",
+      "online.answer_cache.hits", "online.answer_cache.misses"};
+  uint64_t before[4];
+  for (int i = 0; i < 4; ++i) before[i] = counter(names[i]);
+
+  // Every question twice, so both caches see hits as well as misses.
+  const std::vector<std::string> unique_questions =
+      BenchmarkQuestions(20, 6464);
+  std::vector<std::string> batch = unique_questions;
+  batch.insert(batch.end(), unique_questions.begin(), unique_questions.end());
+  const bool was_enabled = obs::MetricsRegistry::enabled();
+  obs::MetricsRegistry::set_enabled(true);
+  (void)cached.AnswerAll(batch, 4);
+  obs::MetricsRegistry::set_enabled(was_enabled);
+
+  const core::ValueCacheStats value = cached.value_cache_stats();
+  const core::ValueCacheStats answer = cached.answer_cache_stats();
+  EXPECT_GT(value.misses, 0u);
+  EXPECT_GT(answer.hits, 0u);
+  EXPECT_EQ(answer.hits + answer.misses, batch.size());
+  const uint64_t books[] = {value.hits, value.misses, answer.hits,
+                            answer.misses};
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(counter(names[i]) - before[i], books[i]) << names[i];
+  }
 }
 
 TEST_F(ParallelSystemTest, AnswerCacheKeyIsNormalizedAcrossSurfaceVariants) {

@@ -664,19 +664,19 @@ class QueryEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(QueryEquivalenceTest, PlannerMatchesBruteForce) {
   // Tiny random KB: 8 entities, 4 predicates, random edges + literals.
   Rng rng(GetParam());
+  // "<prefix><n>": the KB's term names.
+  const auto name = [](const char* prefix, uint64_t n) {
+    std::string text = prefix;
+    text += std::to_string(n);
+    return text;
+  };
   rdf::KnowledgeBase kb;
   std::vector<rdf::PredId> preds;
-  for (int p = 0; p < 4; ++p) {
-    preds.push_back(kb.AddPredicate("p" + std::to_string(p)));
-  }
+  for (int p = 0; p < 4; ++p) preds.push_back(kb.AddPredicate(name("p", p)));
   std::vector<rdf::TermId> entities;
-  for (int e = 0; e < 8; ++e) {
-    entities.push_back(kb.AddEntity("e" + std::to_string(e)));
-  }
+  for (int e = 0; e < 8; ++e) entities.push_back(kb.AddEntity(name("e", e)));
   std::vector<rdf::TermId> literals;
-  for (int l = 0; l < 4; ++l) {
-    literals.push_back(kb.AddLiteral("v" + std::to_string(l)));
-  }
+  for (int l = 0; l < 4; ++l) literals.push_back(kb.AddLiteral(name("v", l)));
   for (int t = 0; t < 24; ++t) {
     rdf::TermId s = entities[rng.Uniform(entities.size())];
     rdf::PredId p = preds[rng.Uniform(preds.size())];
@@ -698,17 +698,14 @@ TEST_P(QueryEquivalenceTest, PlannerMatchesBruteForce) {
       pattern.subject =
           rng.Bernoulli(0.7)
               ? rdf::PatternTerm{true, subject_vars[rng.Uniform(2)]}
-              : rdf::PatternTerm{false,
-                                 "e" + std::to_string(rng.Uniform(8))};
-      pattern.predicate = "p" + std::to_string(rng.Uniform(4));
+              : rdf::PatternTerm{false, name("e", rng.Uniform(8))};
+      pattern.predicate = name("p", rng.Uniform(4));
       pattern.object =
           rng.Bernoulli(0.7)
               ? rdf::PatternTerm{true, subject_vars[rng.Uniform(2)]}
               : (rng.Bernoulli(0.5)
-                     ? rdf::PatternTerm{false,
-                                        "e" + std::to_string(rng.Uniform(8))}
-                     : rdf::PatternTerm{false,
-                                        "v" + std::to_string(rng.Uniform(4))});
+                     ? rdf::PatternTerm{false, name("e", rng.Uniform(8))}
+                     : rdf::PatternTerm{false, name("v", rng.Uniform(4))});
       query.where.push_back(std::move(pattern));
     }
     auto rows = rdf::ExecuteQuery(kb, query);

@@ -451,7 +451,7 @@ TEST_F(ToyKbTest, FreezeIsBitIdenticalAcrossThreadCounts) {
     PredId q = kb.AddPredicate("q");
     std::vector<TermId> ents;
     for (int i = 0; i < 64; ++i) {
-      ents.push_back(kb.AddEntity("e" + std::to_string(i)));
+      ents.push_back(kb.AddEntity(std::string("e").append(std::to_string(i))));
     }
     TermId lit = kb.AddLiteral("shared name");
     // Deliberately unsorted insertion order with duplicates.

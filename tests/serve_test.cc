@@ -54,6 +54,13 @@ std::pair<uint64_t, uint64_t> HistogramCountSum(
   return {histogram->count, histogram->sum};
 }
 
+/// Request text "r<i>".
+std::string RequestName(int i) {
+  std::string name = "r";
+  name += std::to_string(i);
+  return name;
+}
+
 core::AnswerResult EchoResult(const std::string& question) {
   core::AnswerResult result;
   result.answered = true;
@@ -241,7 +248,7 @@ TEST(ServeTest, BatcherCoalescesQueuedRequests) {
   // Five requests pile up while the single worker is gated on r0; they
   // must ride one coalesced batch.
   for (int i = 1; i <= 5; ++i) {
-    ASSERT_TRUE(server.Submit("r" + std::to_string(i), collector.Add()).ok());
+    ASSERT_TRUE(server.Submit(RequestName(i), collector.Add()).ok());
   }
   gate.Open();
   collector.WaitForCount(6);
@@ -402,7 +409,7 @@ TEST(ServeTest, RequestsWaitingBehindBusyWorkersStayUnderAdmissionControl) {
       std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
   ASSERT_TRUE(server.Submit("r1", expiring, collector.Add()).ok());
   for (int i = 2; i <= 4; ++i) {
-    ASSERT_TRUE(server.Submit("r" + std::to_string(i), collector.Add()).ok());
+    ASSERT_TRUE(server.Submit(RequestName(i), collector.Add()).ok());
   }
   collector.WaitForCount(1);  // r1 shed while r0 is still gated
   ASSERT_EQ(collector.Count(), 1u);
@@ -410,7 +417,7 @@ TEST(ServeTest, RequestsWaitingBehindBusyWorkersStayUnderAdmissionControl) {
 
   int admitted = 0;
   for (int i = 5; i <= 8; ++i) {
-    if (server.Submit("r" + std::to_string(i), collector.Add()).ok()) {
+    if (server.Submit(RequestName(i), collector.Add()).ok()) {
       ++admitted;
     }
   }
@@ -452,8 +459,7 @@ TEST(ServeTest, DestructionResolvesEveryAcceptedCallbackExactlyOnce) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     for (int i = 1; i <= 3; ++i) {
-      ASSERT_TRUE(
-          server.Submit("r" + std::to_string(i), collector.Add()).ok());
+      ASSERT_TRUE(server.Submit(RequestName(i), collector.Add()).ok());
     }
     // Tear down with the worker still gated; open the gate mid-teardown.
     std::thread opener([&] {
@@ -657,8 +663,7 @@ TEST(WideEventServeTest, ShutdownShedsEmitShedShutdownEvents) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     for (int i = 1; i <= 3; ++i) {
-      ASSERT_TRUE(
-          server.Submit("r" + std::to_string(i), collector.Add()).ok());
+      ASSERT_TRUE(server.Submit(RequestName(i), collector.Add()).ok());
     }
     std::thread opener([&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));

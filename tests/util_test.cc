@@ -4,9 +4,7 @@
 #include <set>
 #include <sstream>
 
-#include "obs/metrics.h"
 #include "util/distributions.h"
-#include "util/memory_budget.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
@@ -357,47 +355,6 @@ TEST(TablePrinterTest, NumFormatsDigits) {
   EXPECT_EQ(TablePrinter::Num(0.5, 2), "0.50");
   EXPECT_EQ(TablePrinter::Num(1.0 / 3.0, 3), "0.333");
   EXPECT_EQ(TablePrinter::Int(-7), "-7");
-}
-
-// ---------- MemoryBudget ----------
-
-TEST(MemoryBudgetTest, SplitsByWeight) {
-  util::MemoryBudget budget(
-      400, {{"value_cache", 1.0}, {"answer_cache", 1.0}, {"ekb_blocks", 2.0}});
-  EXPECT_EQ(budget.total_bytes(), 400u);
-  EXPECT_EQ(budget.BudgetFor("value_cache"), 100u);
-  EXPECT_EQ(budget.BudgetFor("answer_cache"), 100u);
-  EXPECT_EQ(budget.BudgetFor("ekb_blocks"), 200u);
-  EXPECT_EQ(budget.BudgetFor("nonexistent"), 0u);
-}
-
-TEST(MemoryBudgetTest, ZeroTotalMeansUnbudgeted) {
-  util::MemoryBudget budget(0, {{"value_cache", 1.0}, {"ekb_blocks", 2.0}});
-  EXPECT_EQ(budget.BudgetFor("value_cache"), 0u);
-  EXPECT_EQ(budget.BudgetFor("ekb_blocks"), 0u);
-}
-
-TEST(MemoryBudgetTest, NonPositiveWeightGetsNothing) {
-  util::MemoryBudget budget(300, {{"a", 2.0}, {"b", 0.0}, {"c", -1.0}});
-  EXPECT_EQ(budget.BudgetFor("a"), 300u);
-  EXPECT_EQ(budget.BudgetFor("b"), 0u);
-  EXPECT_EQ(budget.BudgetFor("c"), 0u);
-}
-
-TEST(MemoryBudgetTest, PublishesGauges) {
-  util::MemoryBudget budget(1000, {{"value_cache", 1.0}, {"ekb_blocks", 4.0}});
-  budget.PublishBudgets();
-  util::MemoryBudget::Publish("ekb_blocks", 512);
-  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-  const auto* total = snap.gauge("mem.budget.bytes");
-  ASSERT_NE(total, nullptr);
-  EXPECT_EQ(total->value, 1000.0);
-  const auto* slice = snap.gauge("mem.ekb_blocks.budget_bytes");
-  ASSERT_NE(slice, nullptr);
-  EXPECT_EQ(slice->value, 800.0);
-  const auto* used = snap.gauge("mem.ekb_blocks.bytes");
-  ASSERT_NE(used, nullptr);
-  EXPECT_EQ(used->value, 512.0);
 }
 
 }  // namespace
