@@ -7,10 +7,9 @@
 // (3) the snapshot JSON round-trip at full-registry scale. Emits
 // BENCH_observability.json.
 //
-// The runtime-disabled arm is a proxy for the compile-out build
-// (-DKBQA_OBS_DISABLED=ON): it still pays one relaxed load per macro site.
-// That makes the measured overhead an *upper* bound on enabled-vs-compiled
-// -out, while keeping the A/B inside one binary (no cross-build noise).
+// The runtime-disabled arm still pays one relaxed load per macro site, so
+// the measured overhead is an *upper* bound on the instrumentation's cost,
+// while keeping the A/B inside one binary (no cross-build noise).
 
 #include <algorithm>
 #include <chrono>

@@ -33,6 +33,11 @@ Static checks that encode repository conventions the compiler can't:
                 <x86intrin.h>, no system_clock or high_resolution_clock,
                 so every duration the obs layer records or sums comes from
                 one monotonic clock in nanoseconds with no calibration.
+  raw-thread    Library code (src/) starts threads only in the per-call
+                fork-join (util/thread_pool.cc) and the long-lived service
+                threads (serve/server, serve/exposition, rdf/mutable_kb):
+                no std::thread / std::jthread anywhere else, so parallel
+                work goes through ThreadPool's shard-ordered determinism.
   fuzz-registry Every public parse/decode entry point in src/**/*.h (any
                 declaration matching (Parse|Decode|Import|Load|Open|
                 Unescape)*) is claimed by fuzz/registry.json, and every
@@ -236,6 +241,26 @@ def check_one_clock(path, raw_lines, stripped_lines, findings):
               "library code times with std::chrono::steady_clock only "
               "(obs::NowSteadyNs); a second clock cannot be compared with "
               "or summed into the first", findings)
+
+
+RAW_THREAD_PATTERN = r"\bstd::j?thread\b"
+RAW_THREAD_ALLOWED = (
+    "src/util/thread_pool.cc",
+    "src/serve/server.h", "src/serve/server.cc",
+    "src/serve/exposition.h", "src/serve/exposition.cc",
+    "src/rdf/mutable_kb.h", "src/rdf/mutable_kb.cc",
+)
+
+
+def check_raw_thread(path, raw_lines, stripped_lines, findings):
+    rel = os.path.relpath(path, REPO).replace(os.sep, "/")
+    if rel in RAW_THREAD_ALLOWED:
+        return
+    grep_rule(path, raw_lines, stripped_lines, RAW_THREAD_PATTERN,
+              "raw-thread",
+              "library code runs parallel work through ThreadPool "
+              "(util/thread_pool.h); raw threads belong to the fork-join "
+              "and the long-lived service threads only", findings)
 
 
 METRIC_CALL_RE = re.compile(
@@ -453,6 +478,7 @@ def main():
             check_cout(path, raw_lines, stripped_lines, findings)
             check_raw_file_write(path, raw_lines, stripped_lines, findings)
             check_one_clock(path, raw_lines, stripped_lines, findings)
+            check_raw_thread(path, raw_lines, stripped_lines, findings)
 
     compiler = None if args.no_compile else find_compiler()
     if not args.no_compile and compiler is None:

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace kbqa::obs {
 
@@ -106,16 +105,8 @@ const MetricsSnapshot::HistogramEntry* MetricsSnapshot::histogram(
 MetricsRegistry& MetricsRegistry::Global() {
   // Leaked on purpose: instrumentation sites in static destructors and
   // detached threads may outlive a function-local static's destruction.
-  static MetricsRegistry* const kGlobal = [] {
-    auto* r = new MetricsRegistry();  // NOLINT(kbqa-naked-new)
-    // The environment variable mirrors the compile define for runs that
-    // cannot rebuild: a set (non-"0") value starts the process disabled.
-    if (const char* env = std::getenv("KBQA_OBS_DISABLED");
-        env != nullptr && std::strcmp(env, "0") != 0) {
-      SetEnabled(false);
-    }
-    return r;
-  }();
+  static MetricsRegistry* const kGlobal =
+      new MetricsRegistry();  // NOLINT(kbqa-naked-new)
   return *kGlobal;
 }
 

@@ -17,16 +17,6 @@
 
 namespace kbqa::obs {
 
-/// True when the KBQA_* instrumentation macros are compiled in. The
-/// KBQA_OBS_DISABLED define turns every macro site into a no-op for
-/// overhead A/B builds; the library itself (registry, snapshots, direct
-/// calls) stays functional either way.
-#ifdef KBQA_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 namespace internal {
 
 /// Number of per-metric shards. Threads map onto shards by a stable
@@ -61,27 +51,15 @@ inline std::atomic<bool> g_enabled{true};
 
 }  // namespace internal
 
-/// Process-wide runtime kill switch (also settable via the
-/// KBQA_OBS_DISABLED *environment variable*, read at registry creation).
+/// Process-wide kill switch, also the gate for instrumentation blocks in
+/// user code: `if (obs::Enabled()) { <compute + record expensive stats> }`.
 /// Counters/gauges/histograms ignore updates while disabled — the
-/// single-binary arm of the overhead A/B; the compile-time define is the
-/// zero-cost arm.
-inline bool RuntimeEnabled() {
+/// single-binary arm of the overhead A/B.
+inline bool Enabled() {
   return internal::g_enabled.load(std::memory_order_relaxed);
 }
 inline void SetEnabled(bool on) {
   internal::g_enabled.store(on, std::memory_order_relaxed);
-}
-
-/// Compile-time-and-runtime gate for instrumentation blocks in user code:
-///   if (obs::Enabled()) { <compute + record expensive stats> }
-/// folds to `if (false)` under KBQA_OBS_DISABLED.
-inline bool Enabled() {
-  if constexpr (!kCompiledIn) {
-    return false;
-  } else {
-    return RuntimeEnabled();
-  }
 }
 
 /// Steady-clock nanoseconds: the one clock every obs timer reads (spans,
@@ -124,7 +102,7 @@ class ShardedCounter {
 class Counter {
  public:
   void Add(uint64_t n = 1) {
-    if (!RuntimeEnabled()) return;
+    if (!Enabled()) return;
     cells_.Add(n);
   }
   uint64_t Value() const { return cells_.Value(); }
@@ -138,7 +116,7 @@ class Counter {
 class Gauge {
  public:
   void Set(double v) {
-    if (!RuntimeEnabled()) return;
+    if (!Enabled()) return;
     value_.store(v, std::memory_order_relaxed);
   }
   double Value() const { return value_.load(std::memory_order_relaxed); }
@@ -172,7 +150,7 @@ class Histogram {
   }
 
   void Record(uint64_t value) {
-    if (!RuntimeEnabled()) return;
+    if (!Enabled()) return;
     Shard& s = shards_[internal::ThreadShard()];
     s.count.fetch_add(1, std::memory_order_relaxed);
     s.sum.fetch_add(value, std::memory_order_relaxed);
@@ -274,7 +252,7 @@ class MetricsRegistry {
   /// Zeroes every registered metric (names stay registered).
   void Reset();
 
-  static bool enabled() { return RuntimeEnabled(); }
+  static bool enabled() { return Enabled(); }
   static void set_enabled(bool on) { SetEnabled(on); }
 
  private:

@@ -31,7 +31,7 @@ class SpanSite {
 class SpanGuard {
  public:
   explicit SpanGuard(const SpanSite* site) : site_(site) {
-    if (!RuntimeEnabled()) {
+    if (!Enabled()) {
       site_ = nullptr;
       return;
     }

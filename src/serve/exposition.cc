@@ -83,7 +83,6 @@ std::string RenderStatusz(const ExpositionOptions& options) {
 #else
   out += KvLine("build.mode", "debug");
 #endif
-  out += KvLine("obs.compiled_in", obs::kCompiledIn ? "true" : "false");
   out += KvLine("obs.enabled", obs::Enabled() ? "true" : "false");
   out += KvLine("pid", std::to_string(getpid()));
   const uint64_t uptime_ns = obs::NowSteadyNs() - StartSteadyNs();

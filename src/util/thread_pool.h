@@ -2,25 +2,20 @@
 #define KBQA_UTIL_THREAD_POOL_H_
 
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
-
 namespace kbqa {
 
-/// A fixed-size worker pool for the shared-memory parallelism layer.
+/// The shared-memory parallelism layer: a per-call fork-join.
 ///
-/// Work is expressed as *jobs* of statically sharded tasks, submitted
-/// through one entry point, RunShards: the caller participates as a worker
-/// and blocks until its job completes. Jobs from several callers queue
-/// FIFO and workers cooperatively drain the front job, so concurrent
-/// RunShards calls share the workers instead of serializing.
+/// A ThreadPool holds only its thread count. Each RunShards call starts
+/// `min(num_threads, num_shards) - 1` threads which, together with the
+/// caller, claim shard indices from one atomic cursor; the call joins them
+/// before it returns. No thread outlives a call, and calls from several
+/// threads at once (or from inside a shard) are independent of one
+/// another.
 ///
 /// Determinism contract: work is always a *fixed* number of statically
 /// sharded tasks (independent of the thread count), each shard writes only
@@ -28,54 +23,25 @@ namespace kbqa {
 /// caller (see ParallelFor / ParallelReduce below). Which thread runs which shard is therefore
 /// unobservable — results are bit-identical with 1, 2, or N threads.
 ///
-/// Shard callables must not throw; the pool has no recovery path and
-/// terminates on an escaped exception (same policy as std::thread).
+/// Shard callables must not throw; an escaped exception terminates the
+/// process (same policy as std::thread).
 class ThreadPool {
  public:
-  /// Creates `num_threads - 1` workers (the caller participates in every
-  /// RunShards call, so one thread means "no workers, run inline").
-  /// Values < 1 are clamped to 1.
-  explicit ThreadPool(int num_threads);
-  /// Joins the workers. No RunShards call may still be running.
-  ~ThreadPool();
+  /// One thread means "run every shard inline on the caller". Values < 1
+  /// are clamped to 1.
+  explicit ThreadPool(int num_threads)
+      : num_threads_(num_threads < 1 ? 1 : num_threads) {}
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
+  int num_threads() const { return num_threads_; }
 
-  int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
-
-  /// Runs fn(shard) for every shard in [0, num_shards), distributing
-  /// shards across the workers plus the calling thread. Blocks until all
-  /// shards complete. Safe to call repeatedly and from several threads at
-  /// once (jobs queue FIFO); not reentrant from inside a shard.
-  void RunShards(size_t num_shards, const std::function<void(size_t)>& fn);
+  /// Runs fn(shard) for every shard in [0, num_shards) on the calling
+  /// thread plus up to num_threads() - 1 threads started for this call.
+  /// Blocks until all shards complete.
+  void RunShards(size_t num_shards,
+                 const std::function<void(size_t)>& fn) const;
 
  private:
-  /// One queued job; `fn` is the RunShards caller's callable, alive
-  /// across the blocking call.
-  struct Job {
-    const std::function<void(size_t)>* fn = nullptr;
-    size_t next_shard = 0;
-    size_t num_shards = 0;
-    size_t in_flight = 0;
-    bool done = false;
-  };
-
-  void WorkerLoop();
-  /// Claims and runs shards of `job` until none remain to hand out. The
-  /// thread that retires the last shard marks the job done and signals
-  /// job_done_.
-  void DrainJob(const std::shared_ptr<Job>& job);
-
-  std::vector<std::thread> workers_;
-
-  Mutex mu_;
-  CondVar work_ready_;
-  CondVar job_done_;
-  /// Jobs that still have unclaimed shards, FIFO. A job leaves the queue
-  /// the moment its last shard is claimed (it may still be running).
-  std::deque<std::shared_ptr<Job>> queue_ GUARDED_BY(mu_);
-  bool shutdown_ GUARDED_BY(mu_) = false;
+  int num_threads_;
 };
 
 /// Half-open index range of one static shard.

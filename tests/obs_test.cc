@@ -264,14 +264,6 @@ TEST(ExpositionTest, RendersMetricsTable) {
   EXPECT_NE(out.find("render.histogram"), std::string::npos);
 }
 
-#ifdef KBQA_OBS_DISABLED
-
-TEST(TracingTest, MacrosCompiledOut) {
-  GTEST_SKIP() << "instrumentation macros are compiled out";
-}
-
-#else  // !KBQA_OBS_DISABLED
-
 void OneMillisecondSpan() {
   KBQA_TRACE_SPAN("test.one_millisecond");
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -541,8 +533,6 @@ TEST(SloMonitorTest, PublishGaugesExportsSloSeries) {
   EXPECT_DOUBLE_EQ(gauge("slo.good_total"), 9.0);
   EXPECT_DOUBLE_EQ(gauge("slo.bad_total"), 1.0);
 }
-
-#endif  // KBQA_OBS_DISABLED
 
 }  // namespace
 }  // namespace kbqa

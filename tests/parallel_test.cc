@@ -11,6 +11,7 @@
 #include <chrono>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/kbqa_system.h"
@@ -61,6 +62,23 @@ TEST(ThreadPoolTest, ReusableAcrossJobs) {
     pool.RunShards(16, [&](size_t shard) { sum += static_cast<long>(shard); });
   }
   EXPECT_EQ(sum.load(), 50 * (15 * 16 / 2));
+}
+
+TEST(ThreadPoolTest, RunsShardsOnAtMostMinOfThreadsAndShards) {
+  for (int threads : {1, 2, 4, 8}) {
+    for (size_t shards : {1u, 3u, 64u}) {
+      const ThreadPool pool(threads);
+      std::vector<std::thread::id> ran_on(shards);
+      pool.RunShards(shards, [&](size_t shard) {
+        ran_on[shard] = std::this_thread::get_id();
+      });
+      std::sort(ran_on.begin(), ran_on.end());
+      const size_t distinct = static_cast<size_t>(
+          std::unique(ran_on.begin(), ran_on.end()) - ran_on.begin());
+      EXPECT_LE(distinct, std::min(static_cast<size_t>(threads), shards))
+          << threads << " threads, " << shards << " shards";
+    }
+  }
 }
 
 TEST(ParallelForTest, CoversRangeWithLocalWrites) {
@@ -351,7 +369,6 @@ TEST_F(ParallelSystemTest, AnswerCacheMatchesUncachedAcrossBatches) {
 // tally, which perfladder turns into its hit ratios. Over one AnswerAll on
 // a fresh engine their deltas must agree exactly.
 TEST_F(ParallelSystemTest, CacheBooksAgreeWithRegistryCounters) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const core::KbqaSystem& kbqa = experiment().kbqa();
   core::OnlineInference::Options options = kbqa.options().online;
   options.enable_value_cache = true;

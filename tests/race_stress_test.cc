@@ -48,33 +48,9 @@ TEST(RaceStressTest, ThreadPoolHammerSharedCounter) {
   EXPECT_EQ(sum.load(), 200L * (31 * 32 / 2));
 }
 
-TEST(RaceStressTest, ThreadPoolShutdownWithIdleWorkers) {
-  // Construct-and-destroy: workers park in the wait loop and must observe
-  // shutdown_ under the mutex — the teardown handshake TSan verifies.
-  for (int i = 0; i < 50; ++i) {
-    ThreadPool pool(4);
-  }
-}
-
-TEST(RaceStressTest, ThreadPoolDeterministicShutdownAfterQueuedWork) {
-  // Destruction immediately after a job drains: the queued shards were
-  // being pulled by workers moments before ~ThreadPool sets shutdown_, so
-  // the join must synchronize with the last DrainShards of every worker.
-  for (int i = 0; i < 50; ++i) {
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    pool.RunShards(64, [&](size_t) {
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-    ASSERT_EQ(ran.load(), 64);
-    // ~ThreadPool here, with workers potentially still inside their final
-    // bookkeeping section.
-  }
-}
-
 TEST(RaceStressTest, ThreadPoolDrivenFromAnotherThread) {
-  // The pool's owner and the thread calling RunShards differ; destruction
-  // happens after join, the contract every engine follows.
+  // The pool's owner and the thread calling RunShards differ; the pool is
+  // destroyed by its owner after the driver joins.
   for (int i = 0; i < 20; ++i) {
     auto pool = std::make_unique<ThreadPool>(3);
     std::atomic<int> ran{0};
@@ -86,6 +62,46 @@ TEST(RaceStressTest, ThreadPoolDrivenFromAnotherThread) {
     driver.join();
     EXPECT_EQ(ran.load(), 16);
     pool.reset();
+  }
+}
+
+TEST(RaceStressTest, ThreadPoolRunShardsFromFourThreadsAtOnce) {
+  // Calls share the pool object but nothing else: each one's helpers and
+  // shard cursor are its own, so every call sees exactly its shards.
+  const ThreadPool pool(4);
+  constexpr size_t kShards = 48;
+  std::vector<std::vector<int>> hits(4, std::vector<int>(kShards, 0));
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < hits.size(); ++c) {
+    callers.emplace_back([&pool, &hits, c] {
+      for (int round = 0; round < 25; ++round) {
+        pool.RunShards(kShards, [&](size_t shard) { ++hits[c][shard]; });
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (const std::vector<int>& caller_hits : hits) {
+    for (int h : caller_hits) EXPECT_EQ(h, 25);
+  }
+}
+
+TEST(RaceStressTest, ThreadPoolRunShardsFromInsideAShard) {
+  // A shard may fork-join again, on the same pool: the inner call joins
+  // its own helpers before the outer shard returns.
+  const ThreadPool pool(3);
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 16;
+  std::vector<std::vector<size_t>> sums(kOuter, std::vector<size_t>(kInner));
+  for (int round = 0; round < 10; ++round) {
+    pool.RunShards(kOuter, [&](size_t outer) {
+      pool.RunShards(kInner,
+                     [&](size_t inner) { sums[outer][inner] += outer + inner; });
+    });
+  }
+  for (size_t outer = 0; outer < kOuter; ++outer) {
+    for (size_t inner = 0; inner < kInner; ++inner) {
+      EXPECT_EQ(sums[outer][inner], 10 * (outer + inner));
+    }
   }
 }
 
